@@ -134,6 +134,6 @@ func (e *Engine) AbortReset() {
 			clear(p.G.Data)
 		}
 		rep.router.Discard()
-		rep.lossSum = 0
+		clear(rep.losses)
 	}
 }

@@ -43,8 +43,10 @@ type replica struct {
 	router    *comm.Router
 	opt       nn.Optimizer
 	micros    []*data.Batch
-	lossSum   float64
-	lossMu    sync.Mutex
+	// losses[i] is micro i's loss, written once by the device that runs
+	// its last stage and summed in micro order after the run, so the
+	// reported loss does not depend on which device finishes first.
+	losses []float64
 }
 
 // Engine executes training iterations under a schedule.
@@ -226,9 +228,7 @@ func (w *worker) backward(a sched.Action) error {
 		micro := w.rep.micros[a.Micro]
 		loss, d := nn.SoftmaxCrossEntropy(rec.out, micro.Targets)
 		tensor.ScaleInPlace(d, w.scale)
-		w.rep.lossMu.Lock()
-		w.rep.lossSum += loss
-		w.rep.lossMu.Unlock()
+		w.rep.losses[a.Micro] = loss
 		dy = d
 	} else if g := w.dIn[actKey{a.Micro, a.Stage + 1}]; g != nil {
 		// Either received from the peer or produced locally by the
@@ -428,7 +428,7 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 	t0 := time.Now()
 	for ri, rep := range e.replicas {
 		rep.micros = micros[ri*b : (ri+1)*b]
-		rep.lossSum = 0
+		rep.losses = make([]float64, b)
 		workers := make([]*worker, e.sch.P)
 		for d := 0; d < e.sch.P; d++ {
 			workers[d] = &worker{
@@ -471,7 +471,11 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 
 	res := &Result{PeakActBytes: make([]int64, e.sch.P), Records: recs[0]}
 	for ri, rep := range e.replicas {
-		res.Loss += rep.lossSum
+		var lossSum float64
+		for _, l := range rep.losses {
+			lossSum += l
+		}
+		res.Loss += lossSum
 		res.CommStats = append(res.CommStats, rep.router.Stats())
 		if err := rep.router.Reset(); err != nil {
 			return nil, err
