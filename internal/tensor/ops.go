@@ -3,156 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
-
-// parallelThreshold is the minimum amount of work (output elements times
-// inner dimension) before MatMul fans out across goroutines.
-const parallelThreshold = 1 << 15
-
-// MatMul computes C = A·B for A [m,k] and B [k,n]. Leading dimensions of A
-// beyond the last are collapsed, so [b,s,k]·[k,n] works and yields [b,s,n].
-func MatMul(a, b *Tensor) *Tensor {
-	k := a.Dim(-1)
-	if b.Rank() != 2 || b.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", a.Shape, b.Shape))
-	}
-	n := b.Shape[1]
-	m := len(a.Data) / k
-	outShape := append(append([]int(nil), a.Shape[:len(a.Shape)-1]...), n)
-	c := New(outShape...)
-	matmulInto(c.Data, a.Data, b.Data, m, k, n)
-	return c
-}
-
-// matmulInto computes c += a·b with a [m,k], b [k,n], c [m,n] row-major.
-// c must be zeroed by the caller if plain assignment is wanted.
-func matmulInto(c, a, b []float32, m, k, n int) {
-	work := m * k * n
-	if work < parallelThreshold || m == 1 {
-		matmulRows(c, a, b, 0, m, k, n)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matmulRows(c, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matmulRows computes rows [lo,hi) of c += a·b using an ikj loop order that
-// streams b rows sequentially (cache friendly, auto-vectorizable).
-func matmulRows(c, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
-		}
-	}
-}
-
-// MatMulT computes C = A·Bᵀ for A [..,k] and B [n,k] yielding [..,n].
-func MatMulT(a, b *Tensor) *Tensor {
-	k := a.Dim(-1)
-	if b.Rank() != 2 || b.Shape[1] != k {
-		panic(fmt.Sprintf("tensor: matmulT shapes %v x %v", a.Shape, b.Shape))
-	}
-	n := b.Shape[0]
-	m := len(a.Data) / k
-	outShape := append(append([]int(nil), a.Shape[:len(a.Shape)-1]...), n)
-	c := New(outShape...)
-	parallelRows(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p := range ai {
-					s += ai[p] * bj[p]
-				}
-				ci[j] = s
-			}
-		}
-	}, m*k*n)
-	return c
-}
-
-// TMatMul computes C = Aᵀ·B for A [m,k], B [m,n] yielding [k,n]. This is the
-// weight-gradient shape (xᵀ·dy). A's leading dims are collapsed into m.
-func TMatMul(a, b *Tensor) *Tensor {
-	k := a.Dim(-1)
-	n := b.Dim(-1)
-	m := len(a.Data) / k
-	if len(b.Data)/n != m {
-		panic(fmt.Sprintf("tensor: tmatmul shapes %v x %v", a.Shape, b.Shape))
-	}
-	c := New(k, n)
-	parallelRows(k, func(lo, hi int) {
-		for i := 0; i < m; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			bi := b.Data[i*n : (i+1)*n]
-			for p := lo; p < hi; p++ {
-				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				cp := c.Data[p*n : (p+1)*n]
-				for j := range bi {
-					cp[j] += av * bi[j]
-				}
-			}
-		}
-	}, m*k*n)
-	return c
-}
-
-// parallelRows splits [0,m) across goroutines when work is large enough.
-func parallelRows(m int, f func(lo, hi int), work int) {
-	if work < parallelThreshold || m == 1 {
-		f(0, m)
-		return
-	}
-	workers := min(runtime.GOMAXPROCS(0), m)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Add returns a + b elementwise; b may also be a vector matching the last
 // dimension of a (row broadcast, the bias case).

@@ -21,11 +21,30 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return newTensor(shape, make([]float32, n))
+}
+
+// shapedTensor co-allocates a Tensor with room for a shape of rank up to 4,
+// so building a tensor costs two allocations (header and data), not three.
+type shapedTensor struct {
+	t    Tensor
+	dims [4]int
+}
+
+// newTensor wraps data in a tensor holding a copy of shape. shape does not
+// escape, so callers' variadic shapes stay on their stacks.
+func newTensor(shape []int, data []float32) *Tensor {
+	if len(shape) > len(shapedTensor{}.dims) {
+		return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	}
+	h := &shapedTensor{}
+	h.t.Shape = h.dims[:copy(h.dims[:], shape):len(shape)]
+	h.t.Data = data
+	return &h.t
 }
 
 // FromSlice wraps data (not copied) in a tensor with the given shape.
@@ -35,9 +54,9 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
+		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", append([]int(nil), shape...), n, len(data)))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return newTensor(shape, data)
 }
 
 // Full returns a tensor filled with v.
@@ -88,9 +107,9 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, append([]int(nil), shape...)))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return newTensor(shape, t.Data)
 }
 
 // At returns the element at the given indices.

@@ -112,7 +112,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := Randn(r, 1, k, n)
 	got := MatMul(a, b)
 	want := New(m, n)
-	matmulRows(want.Data, a.Data, b.Data, 0, m, k, n)
+	matmulRows(want.Matrix(), a.Matrix(), b.Matrix(), 0, m)
 	if d := MaxAbsDiff(got, want); d > 1e-5 {
 		t.Fatalf("parallel vs serial diff %g", d)
 	}
@@ -334,6 +334,42 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
+	}
+}
+
+// The three kernels at the tiny transformer's MLP shapes (8 tokens,
+// hidden 16, MLP width 64): the up-projection forward, its input gradient
+// and its weight gradient.
+func BenchmarkMatMulTiny(b *testing.B) {
+	r := NewRNG(1)
+	x := Randn(r, 1, 8, 16)
+	w := Randn(r, 1, 16, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMul(x, w)
+	}
+}
+
+func BenchmarkMatMulTTiny(b *testing.B) {
+	r := NewRNG(1)
+	dy := Randn(r, 1, 8, 64)
+	w := Randn(r, 1, 16, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulT(dy, w)
+	}
+}
+
+func BenchmarkTMatMulTiny(b *testing.B) {
+	r := NewRNG(1)
+	x := Randn(r, 1, 8, 16)
+	dy := Randn(r, 1, 8, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TMatMul(x, dy)
 	}
 }
 
