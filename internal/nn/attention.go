@@ -37,33 +37,17 @@ type mhaCtx struct {
 	b, s    int
 }
 
-// head extracts head a of q/k/v part (part 0=q,1=k,2=v) for batch bi into a
-// contiguous [s,dh] matrix.
-func (m *MultiHeadAttention) head(qkv *tensor.Tensor, bi, part, a, s int) *tensor.Tensor {
+// headView returns head a of part (0=q, 1=k, 2=v) for batch row bi as an
+// [s,dh] view into the fused [b·s, 3·hidden] QKV layout.
+func (m *MultiHeadAttention) headView(fused tensor.View, bi, part, a, s int) tensor.View {
 	dh := m.Hidden / m.Heads
-	out := tensor.New(s, dh)
-	w := 3 * m.Hidden
-	base := bi*s*w + part*m.Hidden + a*dh
-	for t := 0; t < s; t++ {
-		copy(out.Data[t*dh:(t+1)*dh], qkv.Data[base+t*w:base+t*w+dh])
-	}
-	return out
+	return fused.Block(bi*s, s, part*m.Hidden+a*dh, dh)
 }
 
-// addHead scatter-adds a [s,dh] gradient back into the fused layout.
-func (m *MultiHeadAttention) addHead(dst *tensor.Tensor, src *tensor.Tensor, bi, part, a, s int) {
-	dh := m.Hidden / m.Heads
-	w := 3 * m.Hidden
-	base := bi*s*w + part*m.Hidden + a*dh
-	for t := 0; t < s; t++ {
-		row := dst.Data[base+t*w : base+t*w+dh]
-		for j := 0; j < dh; j++ {
-			row[j] += src.Data[t*dh+j]
-		}
-	}
-}
-
-// Forward computes multi-head attention for x [b,s,h].
+// Forward computes multi-head attention for x [b,s,h]. Heads are read in
+// place from the fused QKV output and written in place into the concat
+// buffer, so the only per-head allocation is the softmax matrix the
+// context keeps.
 func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	if x.Rank() != 3 || x.Dim(-1) != m.Hidden {
 		panic(fmt.Sprintf("nn: attention wants [b,s,%d], got %v", m.Hidden, x.Shape))
@@ -73,14 +57,15 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
 	qkv, qkvCtx := m.QKV.Forward(x)
+	fused := qkv.Matrix()
 	concat := tensor.New(b, s, m.Hidden)
+	cat := concat.Matrix()
+	scores := tensor.New(s, s)
 	atts := make([]*tensor.Tensor, b*m.Heads)
 	for bi := 0; bi < b; bi++ {
 		for a := 0; a < m.Heads; a++ {
-			q := m.head(qkv, bi, 0, a, s)
-			k := m.head(qkv, bi, 1, a, s)
-			v := m.head(qkv, bi, 2, a, s)
-			scores := tensor.MatMulT(q, k) // [s,s]
+			clear(scores.Data)
+			tensor.MatMulTAdd(scores.Matrix(), m.headView(fused, bi, 0, a, s), m.headView(fused, bi, 1, a, s))
 			tensor.ScaleInPlace(scores, scale)
 			if m.Causal {
 				for i := 0; i < s; i++ {
@@ -91,12 +76,8 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 			}
 			att := tensor.SoftmaxLastDim(scores)
 			atts[bi*m.Heads+a] = att
-			out := tensor.MatMul(att, v) // [s,dh]
-			// Write out into the concat buffer at head offset a.
-			for t := 0; t < s; t++ {
-				copy(concat.Data[bi*s*m.Hidden+t*m.Hidden+a*dh:bi*s*m.Hidden+t*m.Hidden+(a+1)*dh],
-					out.Data[t*dh:(t+1)*dh])
-			}
+			// out = att·v, written at head offset a of the concat buffer.
+			tensor.MatMulAdd(cat.Block(bi*s, s, a*dh, dh), att.Matrix(), m.headView(fused, bi, 2, a, s))
 		}
 	}
 	y, projCtx := m.Proj.Forward(concat)
@@ -104,7 +85,8 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 }
 
 // Backward propagates through projection, attention weights and the fused
-// QKV projection.
+// QKV projection. Each head's dQ, dK and dV are accumulated directly into
+// their blocks of the fused gradient.
 func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*mhaCtx)
 	b, s := c.b, c.s
@@ -112,22 +94,19 @@ func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
 	dConcat := m.Proj.Backward(c.projCtx, dy) // [b,s,h]
+	dCat := dConcat.Matrix()
+	fused := c.qkv.Matrix()
 	dQKV := tensor.New(b, s, 3*m.Hidden)
+	dFused := dQKV.Matrix()
+	dAtt := tensor.New(s, s)
 	for bi := 0; bi < b; bi++ {
 		for a := 0; a < m.Heads; a++ {
-			// Gather this head's slice of dConcat into [s,dh].
-			dOut := tensor.New(s, dh)
-			for t := 0; t < s; t++ {
-				copy(dOut.Data[t*dh:(t+1)*dh],
-					dConcat.Data[bi*s*m.Hidden+t*m.Hidden+a*dh:bi*s*m.Hidden+t*m.Hidden+(a+1)*dh])
-			}
-			q := m.head(c.qkv, bi, 0, a, s)
-			k := m.head(c.qkv, bi, 1, a, s)
-			v := m.head(c.qkv, bi, 2, a, s)
+			dOut := dCat.Block(bi*s, s, a*dh, dh)
 			att := c.att[bi*m.Heads+a]
 
-			dAtt := tensor.MatMulT(dOut, v) // dOut·vᵀ : [s,s]
-			dV := tensor.TMatMul(att, dOut) // attᵀ·dOut : [s,dh]
+			clear(dAtt.Data)
+			tensor.MatMulTAdd(dAtt.Matrix(), dOut, m.headView(fused, bi, 2, a, s)) // dOut·vᵀ
+			tensor.TMatMulAdd(m.headView(dFused, bi, 2, a, s), att.Matrix(), dOut) // dV = attᵀ·dOut
 			dScores := tensor.SoftmaxBackwardLastDim(att, dAtt)
 			if m.Causal {
 				for i := 0; i < s; i++ {
@@ -137,12 +116,8 @@ func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor
 				}
 			}
 			tensor.ScaleInPlace(dScores, scale)
-			dQ := tensor.MatMul(dScores, k)  // [s,dh]
-			dK := tensor.TMatMul(dScores, q) // scoresᵀ·q : [s,dh]
-
-			m.addHead(dQKV, dQ, bi, 0, a, s)
-			m.addHead(dQKV, dK, bi, 1, a, s)
-			m.addHead(dQKV, dV, bi, 2, a, s)
+			tensor.MatMulAdd(m.headView(dFused, bi, 0, a, s), dScores.Matrix(), m.headView(fused, bi, 1, a, s))  // dQ = dScores·k
+			tensor.TMatMulAdd(m.headView(dFused, bi, 1, a, s), dScores.Matrix(), m.headView(fused, bi, 0, a, s)) // dK = dScoresᵀ·q
 		}
 	}
 	return m.QKV.Backward(c.qkvCtx, dQKV)

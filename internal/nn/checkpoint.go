@@ -13,19 +13,17 @@ type Checkpoint struct{ Inner Layer }
 // NewCheckpoint wraps inner with recompute-in-backward semantics.
 func NewCheckpoint(inner Layer) *Checkpoint { return &Checkpoint{Inner: inner} }
 
-type checkpointCtx struct{ x *tensor.Tensor }
-
-// Forward runs the inner layer but discards its context, keeping only x.
+// Forward runs the inner layer but discards its context; its own context
+// is x alone.
 func (c *Checkpoint) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y, _ := c.Inner.Forward(x)
-	return y, &checkpointCtx{x: x}
+	return y, x
 }
 
 // Backward recomputes the inner forward from the stored input, then runs
 // the inner backward with the fresh context.
 func (c *Checkpoint) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
-	cc := ctx.(*checkpointCtx)
-	_, inner := c.Inner.Forward(cc.x)
+	_, inner := c.Inner.Forward(ctx.(*tensor.Tensor))
 	return c.Inner.Backward(inner, dy)
 }
 

@@ -1,7 +1,11 @@
 // Package nn implements transformer building blocks with hand-written
 // forward and backward passes. Each Forward returns an opaque context of
-// saved activations so a layer can serve many in-flight micro-batches
-// concurrently — the property pipeline parallelism depends on.
+// saved activations so a layer can serve many in-flight micro-batches —
+// the property pipeline parallelism depends on. Forward only reads
+// parameters and is safe to call from concurrent goroutines. Backward
+// accumulates into Param.G, so calls on one layer instance must come from
+// a single goroutine at a time; the runtime runs each stage instance on
+// one device goroutine.
 //
 // The explicit backwards are cross-checked against finite differences and
 // against the internal/autograd tape engine in the tests.
@@ -30,8 +34,9 @@ func newParam(name string, w *tensor.Tensor) *Param {
 type Ctx interface{}
 
 // Layer is a differentiable stage component. Forward must not mutate shared
-// state other than reading parameters; Backward accumulates parameter
-// gradients into Param.G and returns the input gradient.
+// state other than reading parameters, so it is safe for concurrent
+// micro-batches. Backward accumulates parameter gradients into Param.G and
+// returns the input gradient; it is single-goroutine per layer instance.
 type Layer interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx)
 	Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor
@@ -74,19 +79,17 @@ func NewLinear(r *tensor.RNG, in, out int) *Linear {
 	}
 }
 
-type linearCtx struct{ x *tensor.Tensor }
-
-// Forward computes x·W + b.
+// Forward computes x·W + b. The context is x itself.
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y := tensor.MatMul(x, l.Weight.W)
 	tensor.AddInPlace(y, l.Bias.W)
-	return y, &linearCtx{x: x}
+	return y, x
 }
 
 // Backward computes dx = dy·Wᵀ and accumulates dW = xᵀ·dy, db = Σ dy.
 func (l *Linear) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(*linearCtx)
-	tensor.AxpyInPlace(l.Weight.G, 1, tensor.TMatMul(c.x, dy))
+	x := ctx.(*tensor.Tensor)
+	tensor.AxpyInPlace(l.Weight.G, 1, tensor.TMatMul(x, dy))
 	tensor.AxpyInPlace(l.Bias.G, 1, tensor.SumLastDimGrad(dy))
 	return tensor.MatMulT(dy, l.Weight.W)
 }
@@ -99,32 +102,35 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // GELU is the tanh-approximated Gaussian error linear unit used by GPT/BERT.
 type GELU struct{}
 
-type geluCtx struct{ x *tensor.Tensor }
-
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))).
+// Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))). Its context is a
+// tensor of the local derivatives dy/dx, computed from the same tanh as the
+// output and rounded to float32, so Backward needs no second tanh. The
+// context holds them in place of the input, which it would otherwise keep,
+// so it costs no extra memory.
 func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y := tensor.New(x.Shape...)
+	d := tensor.New(x.Shape...)
+	yd, dd := y.Data[:len(x.Data)], d.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		xv := float64(v)
 		u := geluC * (xv + 0.044715*xv*xv*xv)
-		y.Data[i] = float32(0.5 * xv * (1 + math.Tanh(u)))
+		t := math.Tanh(u)
+		yd[i] = float32(0.5 * xv * (1 + t))
+		du := geluC * (1 + 3*0.044715*xv*xv)
+		dd[i] = float32(0.5*(1+t) + 0.5*xv*(1-t*t)*du)
 	}
-	return y, &geluCtx{x: x}
+	return y, d
 }
 
-// Backward applies the exact derivative of the tanh approximation.
+// Backward applies the derivatives Forward recorded: dx = dy ⊙ d.
 func (GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(*geluCtx)
+	d := ctx.(*tensor.Tensor)
 	dx := tensor.New(dy.Shape...)
-	for i, v := range c.x.Data {
-		xv := float64(v)
-		u := geluC * (xv + 0.044715*xv*xv*xv)
-		t := math.Tanh(u)
-		du := geluC * (1 + 3*0.044715*xv*xv)
-		d := 0.5*(1+t) + 0.5*xv*(1-t*t)*du
-		dx.Data[i] = dy.Data[i] * float32(d)
+	dxd, dd := dx.Data[:len(dy.Data)], d.Data[:len(dy.Data)]
+	for i, g := range dy.Data {
+		dxd[i] = g * dd[i]
 	}
 	return dx
 }
@@ -263,22 +269,18 @@ func (s *Sequential) Params() []*Param {
 // Residual wraps a sub-layer as y = x + f(x).
 type Residual struct{ Inner Layer }
 
-type residualCtx struct{ inner Ctx }
-
 // NewResidual wraps inner with a skip connection.
 func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
-// Forward computes x + Inner(x).
+// Forward computes x + Inner(x). The context is the inner layer's.
 func (l *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y, c := l.Inner.Forward(x)
-	out := tensor.Add(y, x)
-	return out, &residualCtx{inner: c}
+	return tensor.Add(y, x), c
 }
 
 // Backward propagates dy through the inner layer and adds the skip path.
 func (l *Residual) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(*residualCtx)
-	dx := l.Inner.Backward(c.inner, dy)
+	dx := l.Inner.Backward(ctx, dy)
 	return tensor.Add(dx, dy)
 }
 
