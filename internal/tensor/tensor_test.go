@@ -345,8 +345,7 @@ func BenchmarkMatMulTiny(b *testing.B) {
 	x := Randn(r, 1, 8, 16)
 	w := Randn(r, 1, 16, 64)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		MatMul(x, w)
 	}
 }
@@ -356,8 +355,7 @@ func BenchmarkMatMulTTiny(b *testing.B) {
 	dy := Randn(r, 1, 8, 64)
 	w := Randn(r, 1, 16, 64)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		MatMulT(dy, w)
 	}
 }
@@ -367,8 +365,7 @@ func BenchmarkTMatMulTiny(b *testing.B) {
 	x := Randn(r, 1, 8, 16)
 	dy := Randn(r, 1, 8, 64)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		TMatMul(x, dy)
 	}
 }
