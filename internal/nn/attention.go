@@ -64,8 +64,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	atts := make([]*tensor.Tensor, b*m.Heads)
 	for bi := 0; bi < b; bi++ {
 		for a := 0; a < m.Heads; a++ {
-			clear(scores.Data)
-			tensor.MatMulTAdd(scores.Matrix(), m.headView(fused, bi, 0, a, s), m.headView(fused, bi, 1, a, s))
+			tensor.MatMulTInto(scores.Matrix(), m.headView(fused, bi, 0, a, s), m.headView(fused, bi, 1, a, s))
 			tensor.ScaleInPlace(scores, scale)
 			if m.Causal {
 				for i := 0; i < s; i++ {
@@ -77,7 +76,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 			att := tensor.SoftmaxLastDim(scores)
 			atts[bi*m.Heads+a] = att
 			// out = att·v, written at head offset a of the concat buffer.
-			tensor.MatMulAdd(cat.Block(bi*s, s, a*dh, dh), att.Matrix(), m.headView(fused, bi, 2, a, s))
+			tensor.MatMulInto(cat.Block(bi*s, s, a*dh, dh), att.Matrix(), m.headView(fused, bi, 2, a, s))
 		}
 	}
 	y, projCtx := m.Proj.Forward(concat)
@@ -104,9 +103,8 @@ func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor
 			dOut := dCat.Block(bi*s, s, a*dh, dh)
 			att := c.att[bi*m.Heads+a]
 
-			clear(dAtt.Data)
-			tensor.MatMulTAdd(dAtt.Matrix(), dOut, m.headView(fused, bi, 2, a, s)) // dOut·vᵀ
-			tensor.TMatMulAdd(m.headView(dFused, bi, 2, a, s), att.Matrix(), dOut) // dV = attᵀ·dOut
+			tensor.MatMulTInto(dAtt.Matrix(), dOut, m.headView(fused, bi, 2, a, s)) // dOut·vᵀ
+			tensor.TMatMulAdd(m.headView(dFused, bi, 2, a, s), att.Matrix(), dOut)  // dV = attᵀ·dOut
 			dScores := tensor.SoftmaxBackwardLastDim(att, dAtt)
 			if m.Causal {
 				for i := 0; i < s; i++ {
@@ -116,7 +114,7 @@ func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor
 				}
 			}
 			tensor.ScaleInPlace(dScores, scale)
-			tensor.MatMulAdd(m.headView(dFused, bi, 0, a, s), dScores.Matrix(), m.headView(fused, bi, 1, a, s))  // dQ = dScores·k
+			tensor.MatMulInto(m.headView(dFused, bi, 0, a, s), dScores.Matrix(), m.headView(fused, bi, 1, a, s)) // dQ = dScores·k
 			tensor.TMatMulAdd(m.headView(dFused, bi, 1, a, s), dScores.Matrix(), m.headView(fused, bi, 0, a, s)) // dK = dScoresᵀ·q
 		}
 	}

@@ -89,7 +89,7 @@ func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 // Backward computes dx = dy·Wᵀ and accumulates dW = xᵀ·dy, db = Σ dy.
 func (l *Linear) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	x := ctx.(*tensor.Tensor)
-	tensor.AxpyInPlace(l.Weight.G, 1, tensor.TMatMul(x, dy))
+	tensor.TMatMulAdd(l.Weight.G.Matrix(), x.Matrix(), dy.Matrix())
 	tensor.AxpyInPlace(l.Bias.G, 1, tensor.SumLastDimGrad(dy))
 	return tensor.MatMulT(dy, l.Weight.W)
 }

@@ -49,7 +49,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", a.Shape, b.Shape))
 	}
 	c := newLastDim(a, b.Shape[1])
-	MatMulAdd(c.Matrix(), a.Matrix(), b.Matrix())
+	MatMulInto(c.Matrix(), a.Matrix(), b.Matrix())
 	return c
 }
 
@@ -59,7 +59,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: matmulT shapes %v x %v", a.Shape, b.Shape))
 	}
 	c := newLastDim(a, b.Shape[0])
-	MatMulTAdd(c.Matrix(), a.Matrix(), b.Matrix())
+	MatMulTInto(c.Matrix(), a.Matrix(), b.Matrix())
 	return c
 }
 
@@ -83,20 +83,20 @@ func newLastDim(a *Tensor, n int) *Tensor {
 	return c
 }
 
-// MatMulAdd computes c += a·b for a [m,k], b [k,n] and c [m,n]. Each output
-// adds its terms a[i][p]·b[p][j] in ascending p and skips a's zero entries,
-// so on a zeroed c the result is bit-identical to that naive loop.
-func MatMulAdd(c, a, b View) {
+// MatMulInto sets c = a·b for a [m,k], b [k,n] and c [m,n]. Each output
+// sums its terms a[i][p]·b[p][j] in ascending p and skips a's zero entries,
+// so it is bit-identical to that naive loop.
+func MatMulInto(c, a, b View) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul views %dx%d · %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	parallelRows(matmulRows, c, a, b, c.Rows, c.Rows*a.Cols*c.Cols)
 }
 
-// MatMulTAdd computes c += a·bᵀ for a [m,k], b [n,k] and c [m,n]. Each
-// output is one dot product summed in ascending p from zero and then added
-// to c, so on a zeroed c the result is bit-identical to that naive loop.
-func MatMulTAdd(c, a, b View) {
+// MatMulTInto sets c = a·bᵀ for a [m,k], b [n,k] and c [m,n]. Each output
+// is one dot product summed in ascending p, bit-identical to that naive
+// loop.
+func MatMulTInto(c, a, b View) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulT views %dx%d · (%dx%d)ᵀ into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
@@ -104,9 +104,11 @@ func MatMulTAdd(c, a, b View) {
 }
 
 // TMatMulAdd computes c += aᵀ·b for a [m,k], b [m,n] and c [k,n]. Each
-// output c[p][j] adds its terms a[i][p]·b[i][j] in ascending i and skips
-// a's zero entries, so on a zeroed c the result is bit-identical to that
-// naive loop.
+// output's sum of a[i][p]·b[i][j] is formed first, in ascending i and
+// skipping a's zero entries, and then added to c. On a zeroed c that is
+// bit-identical to the naive loop; on a gradient accumulator it is
+// bit-identical to adding a freshly computed TMatMul, without allocating
+// one.
 func TMatMulAdd(c, a, b View) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: tmatmul views (%dx%d)ᵀ · %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
@@ -139,13 +141,14 @@ func parallelRows(kern rowKernel, c, a, b View, rows, work int) {
 	wg.Wait()
 }
 
-// matmulRows computes rows [lo,hi) of c += a·b. The ikj order streams b's
+// matmulRows computes rows [lo,hi) of c = a·b. The ikj order streams b's
 // rows, folding four of them per pass over c's row, so c is loaded and
 // stored once per four terms.
 func matmulRows(c, a, b View, lo, hi int) {
 	k := a.Cols
 	for i := lo; i < hi; i++ {
 		ci, ai := c.row(i), a.row(i)
+		clear(ci)
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			axpy4(ci, ai[p], ai[p+1], ai[p+2], ai[p+3], b.row(p), b.row(p+1), b.row(p+2), b.row(p+3))
@@ -156,7 +159,7 @@ func matmulRows(c, a, b View, lo, hi int) {
 	}
 }
 
-// matmulTRows computes rows [lo,hi) of c += a·bᵀ. Four columns share a pass
+// matmulTRows computes rows [lo,hi) of c = a·bᵀ. Four columns share a pass
 // over a's row, each with its own float32 accumulator, which gives the CPU
 // four independent add chains instead of one.
 func matmulTRows(c, a, b View, lo, hi int) {
@@ -173,10 +176,7 @@ func matmulTRows(c, a, b View, lo, hi int) {
 				s2 += av * b2[p]
 				s3 += av * b3[p]
 			}
-			ci[j] += s0
-			ci[j+1] += s1
-			ci[j+2] += s2
-			ci[j+3] += s3
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 		}
 		for ; j < n; j++ {
 			bj := b.row(j)[:len(ai)]
@@ -184,27 +184,29 @@ func matmulTRows(c, a, b View, lo, hi int) {
 			for p, av := range ai {
 				s += av * bj[p]
 			}
-			ci[j] += s
+			ci[j] = s
 		}
 	}
 }
 
-// tmatmulRows computes rows [lo,hi) of c += aᵀ·b, folding four rows of a
-// and b per pass over each of c's rows.
+// tmatmulRows computes rows [lo,hi) of c += aᵀ·b. Row p's sums are formed
+// in a row buffer, folding four rows of a and b per pass, then added to c.
 func tmatmulRows(c, a, b View, lo, hi int) {
 	m := a.Rows
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0, a1, a2, a3 := a.row(i), a.row(i+1), a.row(i+2), a.row(i+3)
-		b0, b1, b2, b3 := b.row(i), b.row(i+1), b.row(i+2), b.row(i+3)
-		for p := lo; p < hi; p++ {
-			axpy4(c.row(p), a0[p], a1[p], a2[p], a3[p], b0, b1, b2, b3)
+	sum := make([]float32, c.Cols)
+	for p := lo; p < hi; p++ {
+		clear(sum)
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			axpy4(sum, a.row(i)[p], a.row(i + 1)[p], a.row(i + 2)[p], a.row(i + 3)[p],
+				b.row(i), b.row(i+1), b.row(i+2), b.row(i+3))
 		}
-	}
-	for ; i < m; i++ {
-		ai, bi := a.row(i), b.row(i)
-		for p := lo; p < hi; p++ {
-			axpy(c.row(p), ai[p], bi)
+		for ; i < m; i++ {
+			axpy(sum, a.row(i)[p], b.row(i))
+		}
+		cp := c.row(p)[:len(sum)]
+		for j, v := range sum {
+			cp[j] += v
 		}
 	}
 }

@@ -172,9 +172,11 @@ func TestMatMulSkipsZeroCoefficients(t *testing.T) {
 	}
 }
 
-// TestViewKernelsOnBlocks runs the three Add kernels on column blocks of
-// wider matrices: the block results equal the dense products bit for bit,
-// and every element outside the output block is left untouched.
+// TestViewKernelsOnBlocks runs the three view kernels on column blocks of
+// wider matrices. The Into kernels overwrite their block with the naive
+// product; TMatMulAdd adds the naive product, formed first, to what the
+// block held, exactly as AxpyInPlace(c, 1, TMatMul(a, b)) would. Every
+// element outside the output block is left untouched.
 func TestViewKernelsOnBlocks(t *testing.T) {
 	r := NewRNG(9)
 	const rows, wide = 6, 11
@@ -189,12 +191,16 @@ func TestViewKernelsOnBlocks(t *testing.T) {
 		}
 		return out
 	}
-	check := func(name string, run func(c View), want []float32, col, cols int) {
+	check := func(name string, run func(c View), product []float32, col, cols int, add bool) {
 		t.Helper()
-		dst := Full(7, rows+2, wide)
-		blk := dst.Matrix().Block(1, len(want)/cols, col, cols)
-		for i := 0; i < blk.Rows; i++ {
-			clear(blk.row(i))
+		dst := Randn(r, 1, rows+2, wide)
+		before := append([]float32(nil), dst.Data...)
+		blk := dst.Matrix().Block(1, len(product)/cols, col, cols)
+		want := append([]float32(nil), product...)
+		if add {
+			for i, v := range dense(blk) {
+				want[i] = v + want[i]
+			}
 		}
 		run(blk)
 		if i := bitsEqual(dense(blk), want); i >= 0 {
@@ -203,27 +209,27 @@ func TestViewKernelsOnBlocks(t *testing.T) {
 		for i := 0; i < rows+2; i++ {
 			for j := 0; j < wide; j++ {
 				inside := i >= 1 && i < 1+blk.Rows && j >= col && j < col+cols
-				if v := dst.Data[i*wide+j]; !inside && v != 7 {
+				if k := i*wide + j; !inside && dst.Data[k] != before[k] {
 					t.Fatalf("%s: wrote outside the block at (%d,%d)", name, i, j)
 				}
 			}
 		}
 	}
 	a, b := dense(aBlk), dense(bBlk)
-	check("MatMulTAdd", func(c View) { MatMulTAdd(c, aBlk, bBlk) }, naiveMatMulT(a, b, rows, 4, rows), 2, rows)
-	check("TMatMulAdd", func(c View) { TMatMulAdd(c, aBlk, bBlk) }, naiveTMatMul(a, b, rows, 4, 4), 3, 4)
+	check("MatMulTInto", func(c View) { MatMulTInto(c, aBlk, bBlk) }, naiveMatMulT(a, b, rows, 4, rows), 2, rows, false)
+	check("TMatMulAdd", func(c View) { TMatMulAdd(c, aBlk, bBlk) }, naiveTMatMul(a, b, rows, 4, 4), 3, 4, true)
 	sq := bBlk.Block(0, 4, 0, 4) // [4,4], the right operand of a·b
-	check("MatMulAdd", func(c View) { MatMulAdd(c, aBlk, sq) }, naiveMatMul(a, dense(sq), rows, 4, 4), 6, 4)
+	check("MatMulInto", func(c View) { MatMulInto(c, aBlk, sq) }, naiveMatMul(a, dense(sq), rows, 4, 4), 6, 4, false)
 }
 
 func TestViewShapeChecksPanic(t *testing.T) {
 	for name, f := range map[string]func(){
 		"block":  func() { New(3, 4).Matrix().Block(2, 2, 0, 4) },
-		"matmul": func() { MatMulAdd(New(2, 3).Matrix(), New(2, 4).Matrix(), New(5, 3).Matrix()) },
+		"matmul": func() { MatMulInto(New(2, 3).Matrix(), New(2, 4).Matrix(), New(5, 3).Matrix()) },
 		"tmatmul": func() {
 			TMatMulAdd(New(4, 3).Matrix(), New(2, 4).Matrix(), New(3, 3).Matrix())
 		},
-		"matmulT": func() { MatMulTAdd(New(2, 3).Matrix(), New(2, 4).Matrix(), New(3, 5).Matrix()) },
+		"matmulT": func() { MatMulTInto(New(2, 3).Matrix(), New(2, 4).Matrix(), New(3, 5).Matrix()) },
 	} {
 		func() {
 			defer func() {
