@@ -84,7 +84,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 }
 
 // Backward propagates through projection, attention weights and the fused
-// QKV projection. Each head's dQ, dK and dV are accumulated directly into
+// QKV projection. Each head's dQ, dK and dV are written straight into
 // their blocks of the fused gradient.
 func (m *MultiHeadAttention) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*mhaCtx)

@@ -107,8 +107,7 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 // Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))). Its context is a
 // tensor of the local derivatives dy/dx, computed from the same tanh as the
 // output and rounded to float32, so Backward needs no second tanh. The
-// context holds them in place of the input, which it would otherwise keep,
-// so it costs no extra memory.
+// context keeps only this tensor, not the input, so it is the same size.
 func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y := tensor.New(x.Shape...)
 	d := tensor.New(x.Shape...)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // seeded training run per scheme. Any change to the tensor kernels or the
 // nn layers that alters a single rounding anywhere in forward, backward,
 // all-reduce or the optimizer moves these bits, so kernel optimisations
-// must keep every output's accumulation order to pass.
+// must keep every output's accumulation order to pass. The values are for
+// amd64, where Go never fuses a multiply and an add; compilers for arm64
+// and other targets emit fused multiply-adds, which round differently.
 var goldenLossBits = map[string][]uint64{
 	"dapple": {
 		0x400bec236c95e8a4, 0x400fa6690226178c, 0x400e5252c0a964b9, 0x400d5d6a4af3757d,
@@ -73,6 +76,9 @@ func goldenRun(t *testing.T, scheme string, dp int) []uint64 {
 }
 
 func TestLossBitsGolden(t *testing.T) {
+	if goruntime.GOARCH != "amd64" {
+		t.Skipf("golden loss bits are recorded for amd64, not %s", goruntime.GOARCH)
+	}
 	for _, tc := range []struct {
 		scheme string
 		dp     int

@@ -21,6 +21,8 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
+			// The messages here format a copy of shape so that shape itself
+			// does not escape: callers' variadic arguments stay on the stack.
 			panic(fmt.Sprintf("tensor: negative dimension %v", append([]int(nil), shape...)))
 		}
 		n *= d
