@@ -224,9 +224,8 @@ func writeBenchJSON(path string) error {
 			}
 		}
 	}))
-	// Warm-started replanning after membership churn: Rerank on the
-	// shrunken cluster seeded from the stale ranking, top-3 exact. Every
-	// P·D stays ≤ 31 so the grid is valid before and after the leave.
+	// Replanning after membership churn: Rerank's top-3-exact sweep on
+	// the 32-device cluster after one device leaves (every P·D ≤ 31).
 	add(measure("rerank_after_leave_topk3", func(b *testing.B) {
 		space := core.SearchSpace{
 			PD:        [][2]int{{4, 4}, {8, 2}, {16, 1}},
@@ -236,13 +235,12 @@ func writeBenchJSON(path string) error {
 			Workers:   1,
 			TopK:      3,
 		}
-		prev := core.NewTuner(core.TunerOptions{}).AutoTune(cl, model, space)
 		left := cl.WithoutDevice(3)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tn := core.NewTuner(core.TunerOptions{})
-			if ranking, stats := tn.Rerank(prev, left, model, space); len(ranking) == 0 || stats.Seeded == 0 {
-				b.Fatal("rerank stopped seeding")
+			if ranking, _ := tn.Rerank(nil, left, model, space); len(ranking) == 0 {
+				b.Fatal("empty ranking")
 			}
 		}
 	}))
@@ -306,40 +304,32 @@ func writeBenchJSON(path string) error {
 	// The distributed-sweep steady state: a brand-new Tuner (cold local
 	// cache, as a fresh worker process would be) sweeping a grid whose
 	// every key is already published to the TCP tier — pure wire cost, no
-	// simulations. Recorded in both remote modes on the identical
-	// workload: _repeat pins NoPrefetch (one round trip per key, the
-	// trajectory-comparable number every earlier BENCH recorded), _batched
-	// the default sweep-start-prefetch discipline (one MultiGet + one
-	// MultiPut per sweep); their ratio is the batching win.
-	remoteRepeat := func(noPrefetch bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := cachewire.NewServer(0)
-			go srv.Serve(l)
-			defer srv.Close()
-			client, err := cachewire.Dial(l.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
-			warm := core.NewTuner(core.TunerOptions{Remote: client})
-			if cands := warm.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+	// simulations: one MultiGet + one MultiPut per sweep.
+	add(measure("tuner_fig10_remote_tcp_batched", func(b *testing.B) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := cachewire.NewServer(0)
+		go srv.Serve(l)
+		defer srv.Close()
+		client, err := cachewire.Dial(l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		warm := core.NewTuner(core.TunerOptions{Remote: client})
+		if cands := warm.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+			b.Fatal("empty sweep")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cold := core.NewTuner(core.TunerOptions{Remote: client})
+			if cands := cold.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
 				b.Fatal("empty sweep")
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cold := core.NewTuner(core.TunerOptions{Remote: client, NoPrefetch: noPrefetch})
-				if cands := cold.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
-					b.Fatal("empty sweep")
-				}
-			}
 		}
-	}
-	add(measure("tuner_fig10_remote_tcp_repeat", remoteRepeat(true)))
-	add(measure("tuner_fig10_remote_tcp_batched", remoteRepeat(false)))
+	}))
 
 	f, err := os.Create(path)
 	if err != nil {

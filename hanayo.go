@@ -60,7 +60,9 @@ type (
 	// sweeps served over a bounded pool of reusable evaluators with a
 	// sharded cross-sweep evaluation cache. Construct once, share freely.
 	Tuner = core.Tuner
-	// TunerOptions bounds the service (pool width, cache size).
+	// TunerOptions bounds the service (pool width, cache size) and plugs
+	// in an optional cross-process cache tier (Remote), which every sweep
+	// reads in one batch at its start and writes in one batch at its end.
 	TunerOptions = core.TunerOptions
 )
 
@@ -315,7 +317,7 @@ var (
 )
 
 // Elasticity: typed membership events over immutable clusters, the
-// warm-started incremental re-ranking they trigger (Tuner.Rerank), and
+// top-K re-ranking they trigger (Tuner.Rerank), and
 // the drain-and-replan training loop that applies the result live. See
 // docs/ARCHITECTURE.md ("Elasticity") and internal/experiments/ELASTIC.md.
 type (
@@ -325,9 +327,9 @@ type (
 	ClusterEvent = cluster.Event
 	// ClusterEventKind discriminates ClusterEvent (JSON round-trippable).
 	ClusterEventKind = cluster.EventKind
-	// RerankStats reports a warm-started Tuner.Rerank's work — seeded
-	// rows, seed/sweep simulations, bound-pruned cells — next to a
-	// ranking that is bit-for-bit the cold AutoTune ranking.
+	// RerankStats reports a Tuner.Rerank sweep's work — grid cells and
+	// rows, bound-pruned cells, simulations (SeedSims is always 0) — next
+	// to a ranking whose top K is bit-for-bit the exhaustive AutoTune's.
 	RerankStats = core.RerankStats
 	// ElasticSession is the drain-and-replan training loop: Step trains
 	// one batch, Notify queues membership events applied at the next

@@ -619,9 +619,7 @@ func DefaultSchemes() []string { return []string{"gpipe", "dapple", "chimera-wav
 // withDefaults fills the nil-field defaults every sweep applies — the
 // baseline schemes, the 1/2/4/8 wave ladder, power-of-two (P, D) divisor
 // pairs of the cluster size, B=8 and MicroRows=1. sweepGrid normalizes
-// through this, and Rerank normalizes with the identical call before
-// matching previous candidates to grid rows, so the seeds always name
-// cells of the grid actually swept.
+// through this.
 func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 	if s.Schemes == nil {
 		s.Schemes = DefaultSchemes()
@@ -667,15 +665,10 @@ func newEvaluator() *evaluator {
 // evalSchedule measures one (scheme, P, B) key on this evaluator's
 // reusable executors: memory replay first when pruning (infeasible cells
 // never reach sim.Run), then one timed simulation for the cells that fit.
-func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, prune bool) (*evalShared, error) {
-	return ev.evalScheduleDeadline(s, plan, prune, 0)
-}
-
-// evalScheduleDeadline is evalSchedule with an optional virtual-clock cap
-// (0 → none): the bound-and-prune sweep's measurement path. The memtrace
-// OOM front end runs uncapped — its verdicts stay complete, cacheable
-// facts — and only the timing simulation is deadline-aborted.
-func (ev *evaluator) evalScheduleDeadline(s *sched.Schedule, plan Plan, prune bool, deadline float64) (*evalShared, error) {
+// deadline > 0 caps the simulation's virtual clock (the bound-and-prune
+// sweep's measurement path); the memtrace OOM front end always runs
+// uncapped, so its verdicts stay complete, cacheable facts.
+func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, prune bool, deadline float64) (*evalShared, error) {
 	cl, model, rows := plan.Cluster, plan.Model, plan.MicroRows
 	if prune {
 		weights := memmodel.Weights(s, model)
@@ -717,23 +710,32 @@ func (ev *evaluator) evalScheduleDeadline(s *sched.Schedule, plan Plan, prune bo
 // under a Tuner) or measures it and publishes the compact entry for
 // future sweeps. own is the worker's private evaluator on standalone
 // sweeps and nil under a Tuner, where a pooled evaluator is checked out
-// only after both cache tiers and the in-flight table miss — cache hits,
+// only after every cache tier and the in-flight table miss — cache hits,
 // flight followers and workers waiting on another builder's per-sweep
 // Once never pin a pool slot. gk/hk are the task's cross-sweep key and
 // its digest, computed exactly once per cell at grid layout (meaningful
 // only under a Tuner) — one digest routes both cache tiers and the wire.
-// sr is the sweep's batched remote window (nil without a remote tier or
-// with NoPrefetch): when present, the sweep-start MultiGet has already
-// probed every key of this grid, so a miss skips the per-key remote
-// probe and fresh results queue for the end-of-sweep flush instead of
-// paying one put round trip each.
-func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote) (*evalShared, error) {
+// sr is the sweep's batched remote window (nil without a remote tier):
+// the sweep-start MultiGet has already probed every key of this grid, so
+// a miss needs no remote probe, and fresh results queue for the
+// end-of-sweep flush.
+//
+// deadline > 0 caps the simulation (the branch-and-bound path). Every
+// cache entry is a complete evaluation, so a hit is exact either way,
+// but a capped miss bypasses the cross-sweep flight table, and a
+// deadline-aborted result is published nowhere: its abort cap depends on
+// this sweep's cutoff and the cell's D, so it is not a reusable fact
+// about the key, and no follower may inherit it. Racing capped sweeps
+// may therefore duplicate a measurement, which only over-evaluates —
+// complete results are deterministic, so whichever publication lands is
+// the same entry.
+func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
 	if t == nil {
 		s, err := plan.scheduleWith(own.gen)
 		if err != nil {
 			return nil, err
 		}
-		return own.evalSchedule(s, plan, prune)
+		return own.evalSchedule(s, plan, prune, deadline)
 	}
 	if ent, ok := t.cache.get(gk, hk); ok {
 		return ent.toShared(), nil
@@ -745,6 +747,9 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 			t.cache.put(gk, hk, ent)
 			return ent.toShared(), nil
 		}
+	}
+	if deadline > 0 {
+		return t.measure(plan, prune, gk, hk, sr, deadline)
 	}
 	f, leader := t.join(gk)
 	if !leader {
@@ -758,94 +763,18 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 		return f.ent.toShared(), nil
 	}
 	defer t.land(gk, f)
-	// On the per-key path the leader probes the cross-process tier before
-	// paying for a simulation: a hit published by another worker process
-	// (a shard peer, or an earlier run) short-circuits exactly like a
-	// local hit and is copied into the local cache for the next lookup.
-	// Followers piggyback on this probe through the flight, so one sweep
-	// issues at most one remote get per key. Under a sweepRemote the
-	// sweep-start MultiGet already made this exact probe — repeating it
-	// per key would pay back the round trips batching just saved.
-	if sr == nil {
-		if ent, ok := t.remoteGet(hk); ok {
-			f.ent = ent
-			t.cache.put(gk, hk, ent)
-			return ent.toShared(), nil
-		}
+	// A previous leader may have published and landed between the probe
+	// above and join: look again before simulating.
+	if ent, ok := t.cache.get(gk, hk); ok {
+		f.ent = ent
+		return ent.toShared(), nil
 	}
-	// Generation happens on the pooled evaluator's Generator, so the
-	// checkout now covers the whole measurement (compile + replay + sim) —
-	// schedule compilation is real work the admission control should bound.
-	ev := t.checkout()
-	defer t.checkin(ev)
-	s, err := plan.scheduleWith(ev.gen)
-	if err != nil {
-		f.err = err
-		return nil, err
-	}
-	es, err := ev.evalSchedule(s, plan, prune)
+	es, err := t.measure(plan, prune, gk, hk, sr, 0)
 	if err != nil {
 		f.err = err
 		return nil, err
 	}
 	f.ent = entryFrom(es)
-	t.cache.put(gk, hk, f.ent)
-	if sr != nil {
-		sr.publish(hk, f.ent)
-	} else {
-		t.remotePut(hk, f.ent)
-	}
-	return es, nil
-}
-
-// evalKeyBounded is evalKey for the branch-and-bound path (TopK > 0):
-// the same cache tiers serve hits — every cache entry is a complete
-// evaluation, so a hit is always exact — but misses measure under the
-// deadline (0 → uncapped), and deadline-aborted results are published
-// nowhere: not the local cache, not the remote tier, and the cross-sweep
-// flight table is bypassed entirely (the abort cap depends on this
-// sweep's cutoff and the cell's D, so a boundOnly verdict is not a
-// reusable fact about the key, and a follower must not inherit one).
-// Racing sweeps may therefore duplicate a bounded measurement, which
-// only over-evaluates — complete results are deterministic, so whichever
-// publication lands is the same entry.
-func evalKeyBounded(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
-	if t == nil {
-		s, err := plan.scheduleWith(own.gen)
-		if err != nil {
-			return nil, err
-		}
-		return own.evalScheduleDeadline(s, plan, prune, deadline)
-	}
-	if ent, ok := t.cache.get(gk, hk); ok {
-		return ent.toShared(), nil
-	}
-	if sr != nil {
-		if ent, ok := sr.hits[hk]; ok {
-			t.cache.put(gk, hk, ent)
-			return ent.toShared(), nil
-		}
-	} else if ent, ok := t.remoteGet(hk); ok {
-		t.cache.put(gk, hk, ent)
-		return ent.toShared(), nil
-	}
-	ev := t.checkout()
-	defer t.checkin(ev)
-	s, err := plan.scheduleWith(ev.gen)
-	if err != nil {
-		return nil, err
-	}
-	es, err := ev.evalScheduleDeadline(s, plan, prune, deadline)
-	if err != nil || es.boundOnly {
-		return es, err // proven-below-cutoff (or failed): not a cache entry
-	}
-	ent := entryFrom(es)
-	t.cache.put(gk, hk, ent)
-	if sr != nil {
-		sr.publish(hk, ent)
-	} else {
-		t.remotePut(hk, ent)
-	}
 	return es, nil
 }
 
@@ -952,10 +881,9 @@ func sortCandidates(cands []Candidate) {
 // sweepGrid measures the (sharded slice of the) candidate grid and
 // returns its candidates in grid order — (P, D) major, schemes then the
 // wave-group winner within each — without the final ranking sort.
-// warm (nil everywhere except Rerank) pre-loads the branch-and-bound
-// cutoff with exact row values measured on this cluster before any
-// worker starts, and receives the sweep's cell/prune statistics.
-func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner, warm *warmStart) []Candidate {
+// stats (nil everywhere except Rerank) receives the sweep's cell, row and
+// prune counts.
+func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner, stats *RerankStats) []Candidate {
 	space = space.withDefaults(cl)
 	workers := space.Workers
 	if workers <= 0 {
@@ -1033,7 +961,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	// issue at its miss — O(cells) round trips become one prefetch here
 	// plus one flush after the pool drains, whatever the grid size.
 	var sr *sweepRemote
-	if t != nil && t.remote != nil && !t.noPrefetch {
+	if t != nil && t.remote != nil {
 		sr = &sweepRemote{t: t, hits: map[uint64]tunerEntry{}}
 		seen := make(map[uint64]struct{}, len(tasks))
 		var gks []tunerKey
@@ -1071,30 +999,6 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	feed := make(chan int, len(tasks))
 	if space.TopK > 0 {
 		cut = newCutoffState(space.TopK, slots)
-		if warm != nil {
-			// Seed the cutoff before any worker runs: each seed is the exact
-			// full evaluation of one cell of this grid (same B, MicroRows,
-			// Faults, Prune) measured on this cluster, so observing it keeps
-			// every slot exact-or-below its row's true final value — the
-			// invariant the cutoff's soundness proof rests on. The sweep
-			// starts with the cutoff already at the Kth-best seeded value
-			// instead of discovering it cell by cell. The seed's complete
-			// evaluation is pre-published into the sweep's result memo so
-			// evalBounded serves the seeded cell exact from peekFull — a
-			// seeded cell must never be re-judged against a cutoff that its
-			// own value produced (see warmSeed).
-			for _, sd := range warm.seeds {
-				for j := range tasks {
-					tk := &tasks[j]
-					if tk.plan.P == sd.p && tk.plan.D == sd.d && tk.wave == sd.wave &&
-						(sd.wave || tk.plan.Scheme == sd.scheme) {
-						cache.publishFull(schedKey{sd.scheme, sd.p, space.B}, sd.es, nil)
-						cut.observe(tk.slot, sd.thr)
-						break
-					}
-				}
-			}
-		}
 		order := make([]int, len(tasks))
 		for i := range order {
 			order[i] = i
@@ -1129,7 +1033,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 				}
 				plan := tk.plan
 				es, err := cache.evalFor(schedKey{plan.Scheme, plan.P, plan.B},
-					func() (*evalShared, error) { return evalKey(plan, own, space.Prune, t, tk.gk, tk.hk, sr) })
+					func() (*evalShared, error) { return evalKey(plan, own, space.Prune, t, tk.gk, tk.hk, sr, 0) })
 				measured[i] = candidateFrom(plan, es, err)
 			}
 		}()
@@ -1138,11 +1042,11 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	if sr != nil {
 		sr.flush()
 	}
-	if warm != nil && warm.stats != nil {
-		warm.stats.Cells = len(tasks)
-		warm.stats.Rows = slots
+	if stats != nil {
+		stats.Cells = len(tasks)
+		stats.Rows = slots
 		if cut != nil {
-			warm.stats.Pruned = cut.pruned.Load()
+			stats.Pruned = cut.pruned.Load()
 		}
 	}
 
@@ -1230,7 +1134,7 @@ func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t
 		// strict too, so a run landing exactly on the cap completes.
 		deadline = float64(plan.D*plan.B*plan.MicroRows) / co
 	}
-	es, err := evalKeyBounded(plan, own, prune, t, tk.gk, tk.hk, sr, deadline)
+	es, err := evalKey(plan, own, prune, t, tk.gk, tk.hk, sr, deadline)
 	if err == nil && es.boundOnly {
 		cut.pruned.Add(1)
 		return boundPrunedCandidate(plan, es.perReplica*float64(plan.D))

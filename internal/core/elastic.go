@@ -12,7 +12,7 @@ import (
 )
 
 // ReplanReport records one drain-and-replan cycle: what triggered it,
-// which plan it moved training to, what the warm-started re-ranking cost,
+// which plan it moved training to, what the replanning sweep cost,
 // and how long the whole cycle took (re-rank, engine rebuild, weight
 // restore) — the replanning latency the elastic serving skin reports
 // against a cold sweep.
@@ -45,7 +45,7 @@ type ElasticOptions struct {
 // fault-reaction story made executable): it trains under the best plan
 // AutoTune found, absorbs membership events between iterations, and
 // reacts to mid-step device failures — in both cases draining to the
-// flush barrier, snapshotting weights, warm-started re-ranking via
+// flush barrier, snapshotting weights, re-ranking the new cluster via
 // Tuner.Rerank, and resuming on a replacement engine with bit-identical
 // parameters.
 //
@@ -67,17 +67,16 @@ type ElasticSession struct {
 	model   nn.Config
 	opts    ElasticOptions
 	cl      *cluster.Cluster
-	ranking []Candidate
 	plan    Plan
 	eng     *runtime.Engine
 	pending []cluster.Event
 	reports []ReplanReport
 }
 
-// NewElasticSession ranks the space on cl (a cold TopK sweep — Rerank
-// with no previous ranking) and builds the engine for the winner. The
-// tuner is retained for every subsequent replan, so its cross-sweep cache
-// keeps amortizing as the membership churns; nil gets a private tuner.
+// NewElasticSession ranks the space on cl (Rerank's TopK sweep) and
+// builds the engine for the winner. The tuner is retained for every
+// subsequent replan, so its cross-sweep cache keeps amortizing as the
+// membership churns; nil gets a private tuner.
 func NewElasticSession(t *Tuner, cl *cluster.Cluster, model nn.Config, opts ElasticOptions) (*ElasticSession, error) {
 	if t == nil {
 		t = NewTuner(TunerOptions{})
@@ -92,7 +91,7 @@ func NewElasticSession(t *Tuner, cl *cluster.Cluster, model nn.Config, opts Elas
 	if err != nil {
 		return nil, err
 	}
-	s.ranking, s.plan, s.eng = ranking, best.Plan, eng
+	s.plan, s.eng = best.Plan, eng
 	return s, nil
 }
 
@@ -170,12 +169,12 @@ func (s *ElasticSession) Step(batch *data.Batch) (*runtime.Result, error) {
 	return res, err
 }
 
-// replan moves the session to cluster cl: warm-started re-rank seeded by
-// the current ranking, engine rebuild for the winner, weight restore from
-// the drained engine's snapshot.
+// replan moves the session to cluster cl: re-rank on the new cluster,
+// engine rebuild for the winner, weight restore from the drained engine's
+// snapshot.
 func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger string) error {
 	t0 := time.Now()
-	ranking, stats := s.tuner.Rerank(s.ranking, cl, s.model, s.opts.Space)
+	ranking, stats := s.tuner.Rerank(nil, cl, s.model, s.opts.Space)
 	best, err := firstFeasible(ranking)
 	if err != nil {
 		return fmt.Errorf("core: replan after %s: %w", ev, err)
@@ -191,6 +190,6 @@ func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger s
 		Event: ev, Trigger: trigger, From: s.plan, To: best.Plan,
 		Stats: stats, Elapsed: time.Since(t0),
 	})
-	s.cl, s.ranking, s.plan, s.eng = cl, ranking, best.Plan, eng
+	s.cl, s.plan, s.eng = cl, best.Plan, eng
 	return nil
 }

@@ -12,13 +12,10 @@ import (
 
 // TestSweepPrefetchFramesO1 is the frame-count hook behind the batched
 // tier's whole point: a shard sweep costs O(1) remote round trips, not
-// O(cells). shardSpace enumerates 27 unique evaluation keys (9 schemes ×
-// 3 PD shapes); the per-key path pays one frame per key, the batched
-// path two frames total — prefetch MultiGet plus flush MultiPut — and a
-// warm repeat none at all. (Not t.Parallel: the frame counter is
+// O(cells) — two frames total, prefetch MultiGet plus flush MultiPut, and
+// a warm repeat none at all. (Not t.Parallel: the frame counter is
 // process-global, like the simRuns hook.)
 func TestSweepPrefetchFramesO1(t *testing.T) {
-	const uniqueKeys = 27 // shardSpace: (6 schemes + 3 waves) × 3 PD shapes
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
 	space := shardSpace(8, false)
@@ -52,13 +49,35 @@ func TestSweepPrefetchFramesO1(t *testing.T) {
 	if d := simRuns.Load() - sims; d != 0 {
 		t.Fatalf("tier-warm cold repeat issued %d simulations, want 0", d)
 	}
+}
 
-	// The per-key mode pays what batching saves: one frame per unique key.
-	perKey := NewTuner(TunerOptions{Runners: 2, Remote: lb, NoPrefetch: true})
-	before = cachewire.Frames()
-	candidatesEqual(t, "per-key cold repeat", perKey.AutoTune(cl, model, space), want)
-	if d := cachewire.Frames() - before; d != uniqueKeys {
-		t.Fatalf("per-key cold repeat cost %d frames, want %d (one get per unique key)", d, uniqueKeys)
+// plainTier hides a Loopback's batch methods: a tier that speaks only
+// per-key Get/Put, which the sweep reaches through cachewire's
+// GetBatch/PutBatch fallback.
+type plainTier struct{ lb *cachewire.Loopback }
+
+func (p plainTier) Get(key uint64) (cachewire.Entry, bool, error) { return p.lb.Get(key) }
+func (p plainTier) Put(key uint64, e cachewire.Entry) error       { return p.lb.Put(key, e) }
+
+// TestPlainTierSweep: a remote tier without batch frames still serves
+// the sweep. A sweep through it matches the no-remote ranking, and a
+// cold Tuner sharing only the tier repeats it with zero simulations.
+// (Not t.Parallel: simRuns is process-global.)
+func TestPlainTierSweep(t *testing.T) {
+	cl := cluster.TACC(16)
+	model := nn.BERTStyle()
+	space := shardSpace(8, false)
+	want := AutoTune(cl, model, space)
+	tier := plainTier{cachewire.NewLoopback(0)}
+
+	first := NewTuner(TunerOptions{Runners: 2, Remote: tier})
+	candidatesEqual(t, "sweep through a plain tier", first.AutoTune(cl, model, space), want)
+
+	second := NewTuner(TunerOptions{Runners: 2, Remote: tier})
+	sims := simRuns.Load()
+	candidatesEqual(t, "cold repeat through a plain tier", second.AutoTune(cl, model, space), want)
+	if d := simRuns.Load() - sims; d != 0 {
+		t.Fatalf("cold repeat through a plain tier issued %d simulations, want 0", d)
 	}
 }
 

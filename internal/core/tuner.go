@@ -8,11 +8,11 @@
 // repeated and overlapping sweeps — calibration loops, wave sweeps, many
 // users tuning similar models — hit cached evaluations instead of
 // re-simulating. An optional third tier (TunerOptions.Remote) extends the
-// same get/put seam across processes: on a local miss the Tuner probes a
-// shared cachewire tier under the stable 64-bit key hash and publishes
-// every fresh evaluation back, so a fleet of sharded workers (see
-// SearchSpace.Shard and cmd/hanayo-tuned) fills one cache that any later
-// process sweeps from without re-simulating.
+// same get/put seam across processes: each sweep resolves its grid's
+// local misses against a shared cachewire tier under the stable 64-bit
+// key hash and publishes every fresh evaluation back, so a fleet of
+// sharded workers (see SearchSpace.Shard and cmd/hanayo-tuned) fills one
+// cache that any later process sweeps from without re-simulating.
 package core
 
 import (
@@ -37,32 +37,26 @@ type TunerOptions struct {
 	// caching, leaving only arena reuse.
 	CacheEntries int
 	// Remote plugs a cross-process cache tier behind the same get/put seam
-	// as the in-process cache: on a local miss the Tuner probes it under
-	// tunerKey.hash() and publishes fresh evaluations back. Typically a
-	// cachewire.Client dialed at a cachewire.Server; cachewire.NewLoopback
-	// wires the tier in-process for tests. Nil keeps the service
-	// single-process. Remote errors never fail a sweep — a Get error is a
-	// miss, a Put error a dropped publish (counted by RemoteErrors).
+	// as the in-process cache, keyed by tunerKey.hash(): every sweep
+	// resolves its grid's local misses in one batched read at sweep start
+	// and publishes its fresh evaluations in one batched write at the end.
+	// Typically a cachewire.Client dialed at a cachewire.Server;
+	// cachewire.NewLoopback wires the tier in-process for tests. A tier
+	// without batch frames (a plain cachewire.Cache) is served key by key
+	// through cachewire.GetBatch/PutBatch. Nil keeps the service
+	// single-process. Remote errors never fail a sweep — a read error is a
+	// miss, a write error a dropped publish (counted by RemoteErrors).
 	Remote cachewire.Cache
-	// NoPrefetch disables the batched remote discipline — the sweep-start
-	// MultiGet over the grid's deterministic key set and the end-of-sweep
-	// MultiPut of fresh evaluations — reverting every remote operation to
-	// one per-key round trip at the moment of each miss. The per-key path
-	// stays load-bearing for measurement (the benchmark suite records the
-	// batched and per-key repeat sweeps side by side) and as the
-	// conservative mode against a tier that predates batched frames.
-	NoPrefetch bool
 }
 
 // Tuner serves AutoTune sweeps over a bounded evaluator pool with a
 // cross-sweep evaluation cache. Safe for concurrent use; construct once
 // and share.
 type Tuner struct {
-	pool       chan *evaluator
-	cache      *tunerCache
-	remote     cachewire.Cache // nil → single-process
-	noPrefetch bool            // per-key remote round trips instead of batched frames
-	rerrs      atomic.Int64    // remote get/put failures (degraded, not fatal)
+	pool   chan *evaluator
+	cache  *tunerCache
+	remote cachewire.Cache // nil → single-process
+	rerrs  atomic.Int64    // remote get/put failures (degraded, not fatal)
 
 	// flights deduplicates in-flight evaluations across concurrent
 	// sweeps: the first cache miss on a key leads the computation, later
@@ -87,8 +81,7 @@ func NewTuner(opt TunerOptions) *Tuner {
 	if n <= 0 {
 		n = goruntime.NumCPU()
 	}
-	t := &Tuner{pool: make(chan *evaluator, n), remote: opt.Remote,
-		noPrefetch: opt.NoPrefetch, flights: map[tunerKey]*flight{}}
+	t := &Tuner{pool: make(chan *evaluator, n), remote: opt.Remote, flights: map[tunerKey]*flight{}}
 	for i := 0; i < n; i++ {
 		t.pool <- newEvaluator()
 	}
@@ -151,6 +144,30 @@ func (t *Tuner) checkout() *evaluator { return <-t.pool }
 
 func (t *Tuner) checkin(ev *evaluator) { t.pool <- ev }
 
+// measure evaluates one key that missed every cache tier on a pooled
+// evaluator and publishes a complete result to the local cache and the
+// sweep's remote flush; a deadline-aborted result is returned unpublished.
+// The checkout covers the whole measurement (compile + replay + sim) —
+// schedule compilation is real work the admission control should bound.
+func (t *Tuner) measure(plan Plan, prune bool, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
+	ev := t.checkout()
+	defer t.checkin(ev)
+	s, err := plan.scheduleWith(ev.gen)
+	if err != nil {
+		return nil, err
+	}
+	es, err := ev.evalSchedule(s, plan, prune, deadline)
+	if err != nil || es.boundOnly {
+		return es, err
+	}
+	ent := entryFrom(es)
+	t.cache.put(gk, hk, ent)
+	if sr != nil {
+		sr.publish(hk, ent)
+	}
+	return es, nil
+}
+
 // CacheLen reports the number of cached cross-sweep evaluations.
 func (t *Tuner) CacheLen() int {
 	if t.cache == nil {
@@ -164,37 +181,6 @@ func (t *Tuner) CacheLen() int {
 // rate, never a sweep — so this counter is the operational signal that
 // the tier is unhealthy.
 func (t *Tuner) RemoteErrors() int64 { return t.rerrs.Load() }
-
-// remoteGet probes the cross-process tier under the key hash; any error
-// counts as a miss.
-func (t *Tuner) remoteGet(h uint64) (tunerEntry, bool) {
-	if t.remote == nil {
-		return tunerEntry{}, false
-	}
-	we, ok, err := t.remote.Get(h)
-	if err != nil {
-		t.rerrs.Add(1)
-		return tunerEntry{}, false
-	}
-	if !ok {
-		return tunerEntry{}, false
-	}
-	return tunerEntry{perReplica: we.PerReplica, maxGB: we.MaxGB,
-		fits: we.Fits, pruned: we.Pruned, failed: we.Failed, splitBW: we.SplitBW}, true
-}
-
-// remotePut publishes a fresh evaluation to the cross-process tier,
-// best-effort.
-func (t *Tuner) remotePut(h uint64, e tunerEntry) {
-	if t.remote == nil {
-		return
-	}
-	we := cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW}
-	if err := t.remote.Put(h, we); err != nil {
-		t.rerrs.Add(1)
-	}
-}
 
 // sweepRemote is one sweep's batched window onto the Tuner's remote
 // tier — how a shard costs O(1) round trips instead of O(cells). The
