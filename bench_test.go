@@ -208,7 +208,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 }
 
 // BenchmarkMemReplayerReuse measures the reused memory-replay executor —
-// the per-key cost of the AutoTune OOM front end.
+// the per-schedule cost of a sim-free (AnalyticOnly) memory profile.
 func BenchmarkMemReplayerReuse(b *testing.B) {
 	s, err := sched.Hanayo(8, 2, 16)
 	if err != nil {
@@ -332,22 +332,6 @@ func BenchmarkAutoTuneParallel(b *testing.B) {
 	b.StopTimer()
 	if perOp := b.Elapsed() / time.Duration(b.N); perOp > 0 {
 		b.ReportMetric(float64(serialPerOp)/float64(perOp), "serial/parallel-x")
-	}
-}
-
-// BenchmarkAutoTunePruned runs the serial fig10-sized sweep with the
-// memtrace-first OOM front end: infeasible cells skip the timing model.
-// On this space the win tracks the OOM fraction — the regime the pruning
-// targets is model sizes where OOM is the common case.
-func BenchmarkAutoTunePruned(b *testing.B) {
-	cl := cluster.TACC(32)
-	model := nn.BERTStyle()
-	space := autotuneSpace(1)
-	space.Prune = true
-	for i := 0; i < b.N; i++ {
-		if cands := core.AutoTune(cl, model, space); len(cands) == 0 {
-			b.Fatal("empty sweep")
-		}
 	}
 }
 

@@ -2,12 +2,11 @@ package main
 
 // The -json benchmark suite: a fixed set of in-process micro-benchmarks
 // covering the hot paths each PR optimizes (schedule generation, one-shot
-// and reused simulation, memory replay, the AutoTune sweep with and
-// without OOM pruning, the Tuner's cached steady state, and the
-// distributed tier — the wire codec and a cold Tuner served entirely over
-// TCP), written as a machine-readable BENCH_<n>.json so the perf
-// trajectory is tracked across PRs: run `hanayo-bench -json
-// BENCH_<pr>.json` and commit the artifact.
+// and reused simulation, memory replay, the exhaustive and top-K AutoTune
+// sweeps, the Tuner's cached steady state, and the distributed tier — the
+// wire codec and a cold Tuner served entirely over TCP), written as a
+// machine-readable BENCH_<n>.json so the perf trajectory is tracked across
+// PRs: run `hanayo-bench -json BENCH_<pr>.json` and commit the artifact.
 
 import (
 	"encoding/json"
@@ -62,14 +61,13 @@ func measure(name string, fn func(b *testing.B)) benchResult {
 
 // fig10SizedSpace mirrors the sweep the fig10 experiment and bench_test.go
 // run, so the JSON numbers track the same workload across PRs.
-func fig10SizedSpace(workers int, prune bool) core.SearchSpace {
+func fig10SizedSpace(workers int) core.SearchSpace {
 	return core.SearchSpace{
 		PD:        [][2]int{{8, 4}, {16, 2}, {32, 1}},
 		Waves:     []int{1, 2, 4, 8},
 		B:         16,
 		MicroRows: 2,
 		Workers:   workers,
-		Prune:     prune,
 	}
 }
 
@@ -185,14 +183,7 @@ func writeBenchJSON(path string) error {
 	}))
 	add(measure("autotune_fig10_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if cands := core.AutoTune(cl, model, fig10SizedSpace(1, false)); len(cands) == 0 {
-				b.Fatal("empty sweep")
-			}
-		}
-	}))
-	add(measure("autotune_fig10_serial_pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if cands := core.AutoTune(cl, model, fig10SizedSpace(1, true)); len(cands) == 0 {
+			if cands := core.AutoTune(cl, model, fig10SizedSpace(1)); len(cands) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}
@@ -216,7 +207,7 @@ func writeBenchJSON(path string) error {
 	// but keeping only the top 3 ranks exact — the ratio between the two
 	// entries is the branch-and-bound win this PR records (bar: ≥3×).
 	add(measure("autotune_fig10_topk3_serial", func(b *testing.B) {
-		space := fig10SizedSpace(1, false)
+		space := fig10SizedSpace(1)
 		space.TopK = 3
 		for i := 0; i < b.N; i++ {
 			if cands := core.AutoTune(cl, model, space); len(cands) == 0 {
@@ -246,12 +237,12 @@ func writeBenchJSON(path string) error {
 	}))
 	add(measure("tuner_fig10_cached_repeat", func(b *testing.B) {
 		tn := core.NewTuner(core.TunerOptions{})
-		if cands := tn.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+		if cands := tn.AutoTune(cl, model, fig10SizedSpace(0)); len(cands) == 0 {
 			b.Fatal("empty sweep")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cands := tn.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+			if cands := tn.AutoTune(cl, model, fig10SizedSpace(0)); len(cands) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}
@@ -319,13 +310,13 @@ func writeBenchJSON(path string) error {
 		}
 		defer client.Close()
 		warm := core.NewTuner(core.TunerOptions{Remote: client})
-		if cands := warm.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+		if cands := warm.AutoTune(cl, model, fig10SizedSpace(0)); len(cands) == 0 {
 			b.Fatal("empty sweep")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cold := core.NewTuner(core.TunerOptions{Remote: client})
-			if cands := cold.AutoTune(cl, model, fig10SizedSpace(0, false)); len(cands) == 0 {
+			if cands := cold.AutoTune(cl, model, fig10SizedSpace(0)); len(cands) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}

@@ -70,7 +70,6 @@ func main() {
 	modelName := flag.String("model", "bert", "model preset (bert, gpt)")
 	b := flag.Int("b", 16, "micro-batches per replica")
 	rows := flag.Int("rows", 2, "sequences per micro-batch")
-	prune := flag.Bool("prune", false, "memtrace-first OOM pruning")
 	topk := flag.Int("topk", 0, "bound-and-prune search keeping this many exact ranks per shard (0 = exhaustive)")
 	workers := flag.Int("workers", 0, "sweep worker goroutines: 0 = one per CPU")
 	events := flag.String("events", "", "worker: apply a JSON membership-event stream file (leave/join/speed/link) to the preset cluster before sweeping")
@@ -87,7 +86,7 @@ func main() {
 		err = runWorker(workerConfig{
 			shard: *shard, of: *of, remote: *remote, replicas: *replicas,
 			cluster: *clName, devices: *devices, model: *modelName,
-			b: *b, rows: *rows, prune: *prune, topk: *topk, workers: *workers,
+			b: *b, rows: *rows, topk: *topk, workers: *workers,
 			events: *events, out: *out,
 		})
 	case *merge:
@@ -181,7 +180,6 @@ type workerConfig struct {
 	model            string
 	b, rows, workers int
 	topk             int
-	prune            bool
 	events           string
 	out              string
 }
@@ -198,7 +196,6 @@ type shardFile struct {
 	Model       string `json:"model"`
 	B           int    `json:"b"`
 	MicroRows   int    `json:"micro_rows"`
-	Prune       bool   `json:"prune"`
 	TopK        int    `json:"topk,omitempty"`
 	Events      int    `json:"events,omitempty"`
 	Sims        int64  `json:"sims"`
@@ -221,7 +218,6 @@ type wireCandidate struct {
 	Throughput  float64 `json:"throughput"`
 	PeakGB      float64 `json:"peak_gb"`
 	OOM         bool    `json:"oom,omitempty"`
-	Pruned      bool    `json:"pruned,omitempty"`
 	BoundPruned bool    `json:"bound_pruned,omitempty"`
 	Bound       float64 `json:"bound,omitempty"`
 	Err         string  `json:"err,omitempty"`
@@ -232,7 +228,7 @@ func toWire(cands []core.Candidate) []wireCandidate {
 	for i, c := range cands {
 		out[i] = wireCandidate{
 			Scheme: c.Plan.Scheme, P: c.Plan.P, D: c.Plan.D, B: c.Plan.B,
-			Throughput: c.Throughput, PeakGB: c.PeakGB, OOM: c.OOM, Pruned: c.Pruned,
+			Throughput: c.Throughput, PeakGB: c.PeakGB, OOM: c.OOM,
 			BoundPruned: c.BoundPruned, Bound: c.Bound,
 		}
 		if c.Err != nil {
@@ -247,7 +243,7 @@ func fromWire(cands []wireCandidate) []core.Candidate {
 	for i, c := range cands {
 		out[i] = core.Candidate{
 			Plan:       core.Plan{Scheme: c.Scheme, P: c.P, D: c.D, B: c.B},
-			Throughput: c.Throughput, PeakGB: c.PeakGB, OOM: c.OOM, Pruned: c.Pruned,
+			Throughput: c.Throughput, PeakGB: c.PeakGB, OOM: c.OOM,
 			BoundPruned: c.BoundPruned, Bound: c.Bound,
 		}
 		if c.Err != "" {
@@ -324,7 +320,7 @@ func runWorker(cfg workerConfig) error {
 	}
 	tuner := core.NewTuner(opts)
 	space := core.SearchSpace{
-		B: cfg.b, MicroRows: cfg.rows, Prune: cfg.prune, TopK: cfg.topk, Workers: cfg.workers,
+		B: cfg.b, MicroRows: cfg.rows, TopK: cfg.topk, Workers: cfg.workers,
 	}.Shard(cfg.shard, cfg.of)
 
 	start := time.Now()
@@ -341,7 +337,7 @@ func runWorker(cfg workerConfig) error {
 	file := shardFile{
 		Shard: cfg.shard, Of: cfg.of,
 		Cluster: cfg.cluster, Devices: cfg.devices, Model: cfg.model,
-		B: cfg.b, MicroRows: cfg.rows, Prune: cfg.prune, TopK: cfg.topk,
+		B: cfg.b, MicroRows: cfg.rows, TopK: cfg.topk,
 		Events: nEvents, Sims: sims, BoundPruned: boundPruned,
 		Candidates: toWire(cands),
 	}
@@ -399,7 +395,7 @@ func runMerge(paths []string, w io.Writer) error {
 		if i == 0 {
 			head = sf
 		} else if sf.Cluster != head.Cluster || sf.Devices != head.Devices || sf.Model != head.Model ||
-			sf.B != head.B || sf.MicroRows != head.MicroRows || sf.Prune != head.Prune || sf.TopK != head.TopK {
+			sf.B != head.B || sf.MicroRows != head.MicroRows || sf.TopK != head.TopK {
 			return fmt.Errorf("%s describes a different sweep than %s", path, paths[0])
 		}
 		parts[i] = fromWire(sf.Candidates)

@@ -4,8 +4,7 @@
 // hanayo.Tuner, the steady-state tuning service: the first sweep pays for
 // its simulations, a repeated sweep (a calibration loop, another user
 // tuning the same model) is answered from the cross-sweep evaluation
-// cache, and OOM cells are pruned by the memory replay before the timing
-// model ever runs.
+// cache.
 package main
 
 import (
@@ -29,11 +28,9 @@ func main() {
 		B:         16,
 		MicroRows: 2,
 		// One sweep worker per CPU; the candidate ranking is identical to
-		// the serial sweep (Workers: 1). Each feasible candidate costs one
-		// simulation, shared across candidates that differ only in D.
+		// the serial sweep (Workers: 1). Each candidate, OOM or not, costs
+		// one simulation, shared across candidates that differ only in D.
 		Workers: runtime.NumCPU(),
-		// Memory-replay pruning: OOM cells never reach the timing model.
-		Prune: true,
 	}
 
 	// The service is built once and shared: it owns a bounded pool of
@@ -49,9 +46,6 @@ func main() {
 		thr := fmt.Sprintf("%.1f", c.Throughput)
 		if c.OOM {
 			thr = "OOM"
-			if c.Pruned {
-				thr = "OOM*" // pruned: feasibility decided without a simulation
-			}
 		}
 		fmt.Printf("%-14s %4d %4d %10s %8.1f\n", c.Plan.Scheme, c.Plan.P, c.Plan.D, thr, c.PeakGB)
 	}

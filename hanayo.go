@@ -66,13 +66,14 @@ type (
 	TunerOptions = core.TunerOptions
 )
 
-// AutoTune sweeps plans over a cluster as in Fig 10. SearchSpace.Prune
-// routes every configuration through the memtrace OOM front end first, so
-// infeasible cells never pay for a timing simulation. SearchSpace.TopK
-// turns the exhaustive sweep into an exact branch-and-bound search: the
-// first TopK ranks stay bit-for-bit identical to the exhaustive ranking
-// while provably losing cells are skipped or deadline-aborted, surfacing
-// as Candidate.BoundPruned with their proven Bound.
+// AutoTune sweeps plans over a cluster as in Fig 10. Each unique
+// (scheme, P, B) configuration is decided by one timing simulation, which
+// also yields its memory verdict, so OOM cells rank last with their
+// full-iteration peak. SearchSpace.TopK turns the exhaustive sweep into
+// an exact branch-and-bound search: the first TopK ranks stay bit-for-bit
+// identical to the exhaustive ranking while provably losing cells are
+// skipped or deadline-aborted, surfacing as Candidate.BoundPruned with
+// their proven Bound.
 var AutoTune = core.AutoTune
 
 // LowerBound proves a floor on the simulated per-replica makespan of a
@@ -215,8 +216,10 @@ type (
 	// arenas and drives repeated runs at ~0 allocations in steady state.
 	// Not safe for concurrent use; its Result is valid until the next Run.
 	SimRunner = sim.Runner
-	// MemReplayer is the reusable memory-replay handle, with a budgeted
-	// early-exit mode (RunBudget) for OOM feasibility checks.
+	// MemReplayer is the reusable memory-replay handle: it owns the
+	// replay's arenas and drives repeated runs at ~0 allocations in
+	// steady state. Not safe for concurrent use; its Result is valid
+	// until the next Run.
 	MemReplayer = memtrace.Replayer
 	// ScheduleGenerator is the reusable schedule compiler: it owns the
 	// greedy scheduler's arenas, per-shape mapping/cap caches and the

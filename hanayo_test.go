@@ -96,11 +96,11 @@ func TestFacadeAutoTune(t *testing.T) {
 }
 
 // TestFacadeTuner exercises the exported tuning service end to end: a
-// served sweep (with pruning) matches the standalone one and a repeat is
-// answered from the cross-sweep cache.
+// served sweep matches the standalone one and a repeat is answered from
+// the cross-sweep cache.
 func TestFacadeTuner(t *testing.T) {
 	space := SearchSpace{
-		PD: [][2]int{{4, 2}}, Waves: []int{1, 2}, B: 4, MicroRows: 1, Prune: true,
+		PD: [][2]int{{4, 2}}, Waves: []int{1, 2}, B: 4, MicroRows: 1,
 	}
 	want := AutoTune(TACC(8), BERTStyle(), space)
 	tuner := NewTuner(TunerOptions{Runners: 2})

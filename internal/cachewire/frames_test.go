@@ -18,7 +18,8 @@ func randEntries(rng *rand.Rand, n int) []Entry {
 			PerReplica: rng.NormFloat64() * 100,
 			MaxGB:      rng.Float64() * 80,
 			Fits:       rng.Intn(2) == 0,
-			Pruned:     rng.Intn(3) == 0,
+			Failed:     rng.Intn(3) == 0,
+			SplitBW:    rng.Intn(4) == 0,
 		}
 		switch rng.Intn(8) {
 		case 0:
@@ -96,7 +97,7 @@ func TestMultiBatchRoundTripProperty(t *testing.T) {
 func sameEntryBits(a, b Entry) bool {
 	return math.Float64bits(a.PerReplica) == math.Float64bits(b.PerReplica) &&
 		math.Float64bits(a.MaxGB) == math.Float64bits(b.MaxGB) &&
-		a.Fits == b.Fits && a.Pruned == b.Pruned
+		a.Fits == b.Fits && a.Failed == b.Failed && a.SplitBW == b.SplitBW
 }
 
 // TestBatchAgreesWithPerKey cross-checks the two protocol generations on
@@ -105,7 +106,7 @@ func sameEntryBits(a, b Entry) bool {
 func TestBatchAgreesWithPerKey(t *testing.T) {
 	for name, c := range batchTransports(t) {
 		e1 := Entry{PerReplica: 12.5, MaxGB: 3, Fits: true}
-		e2 := Entry{MaxGB: 99, Pruned: true}
+		e2 := Entry{MaxGB: 99, Failed: true}
 		if err := c.Put(1, e1); err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err != nil || !ok || got != e {
 		t.Fatalf("get after put: %+v ok=%v err=%v, want %+v", got, ok, err, e)
 	}
-	e2 := Entry{MaxGB: 61, Pruned: true}
+	e2 := Entry{MaxGB: 61, Failed: true}
 	if err := c.Put(42, e2); err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,11 @@ const EntrySize = 18
 // Entry is the wire form of one cached evaluation — the same compact,
 // pointer-free scalars core's tunerEntry holds: the D-invariant
 // per-replica throughput, the peak per-device footprint, the feasibility
-// verdict and the pruned marker.
+// verdict and the failed and split-backward markers.
 type Entry struct {
 	PerReplica float64 // sequences/s of one replica
 	MaxGB      float64 // peak per-device footprint
 	Fits       bool    // fits every device with the standard headroom
-	Pruned     bool    // OOM decided by the memtrace front end; no sim ran
 	// Failed marks a deterministic infeasible verdict under the sweep's
 	// fault plan (a device died mid-schedule). Only the verdict bit
 	// crosses the wire; the failure diagnostics (device, time, recovery
@@ -63,10 +62,12 @@ type Entry struct {
 // Flag bits of the encoded entry's second byte. Decoders built before a
 // bit existed reject entries carrying it (the strict mask below), so
 // adding a flag is forward-safe: old builds degrade to misses instead of
-// misreading new verdicts.
+// misreading new verdicts. Bit 1 is retired — it marked a memtrace-pruned
+// OOM verdict whose peak was an early-exit lower bound — and must never
+// be reassigned: DecodeEntry rejects it, so such an entry from an older
+// build is a miss rather than a mis-read verdict.
 const (
 	flagFits    = 1 << 0
-	flagPruned  = 1 << 1
 	flagFailed  = 1 << 2
 	flagSplitBW = 1 << 3
 )
@@ -79,9 +80,6 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	var flags byte
 	if e.Fits {
 		flags |= flagFits
-	}
-	if e.Pruned {
-		flags |= flagPruned
 	}
 	if e.Failed {
 		flags |= flagFailed
@@ -106,14 +104,13 @@ func DecodeEntry(b []byte) (Entry, error) {
 	if b[0] != Version {
 		return Entry{}, fmt.Errorf("cachewire: entry version %d, this build speaks %d", b[0], Version)
 	}
-	if b[1]&^(flagFits|flagPruned|flagFailed|flagSplitBW) != 0 {
+	if b[1]&^(flagFits|flagFailed|flagSplitBW) != 0 {
 		return Entry{}, fmt.Errorf("cachewire: unknown flag bits %#x", b[1])
 	}
 	return Entry{
 		PerReplica: math.Float64frombits(binary.LittleEndian.Uint64(b[2:10])),
 		MaxGB:      math.Float64frombits(binary.LittleEndian.Uint64(b[10:18])),
 		Fits:       b[1]&flagFits != 0,
-		Pruned:     b[1]&flagPruned != 0,
 		Failed:     b[1]&flagFailed != 0,
 		SplitBW:    b[1]&flagSplitBW != 0,
 	}, nil

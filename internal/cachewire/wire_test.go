@@ -30,8 +30,8 @@ func TestEntryRoundTripProperty(t *testing.T) {
 			PerReplica: f64(i),
 			MaxGB:      f64(i + 1),
 			Fits:       i&1 != 0,
-			Pruned:     i&2 != 0,
-			Failed:     i&4 != 0,
+			Failed:     i&2 != 0,
+			SplitBW:    i&4 != 0,
 		}
 		buf := AppendEntry(nil, in)
 		if len(buf) != EntrySize {
@@ -43,7 +43,7 @@ func TestEntryRoundTripProperty(t *testing.T) {
 		}
 		if math.Float64bits(out.PerReplica) != math.Float64bits(in.PerReplica) ||
 			math.Float64bits(out.MaxGB) != math.Float64bits(in.MaxGB) ||
-			out.Fits != in.Fits || out.Pruned != in.Pruned || out.Failed != in.Failed {
+			out.Fits != in.Fits || out.Failed != in.Failed || out.SplitBW != in.SplitBW {
 			t.Fatalf("round trip #%d: got %+v, want %+v", i, out, in)
 		}
 	}
@@ -110,7 +110,7 @@ func TestLoopback(t *testing.T) {
 	if err != nil || !ok || got != e {
 		t.Fatalf("get: %+v ok=%v err=%v, want %+v", got, ok, err, e)
 	}
-	e2 := Entry{Pruned: true, MaxGB: 60}
+	e2 := Entry{Failed: true, MaxGB: 60}
 	if err := lb.Put(1, e2); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 
 // topKSpace is fig10Space (the grid the bound-and-prune acceptance
 // criteria are stated against) with the full wave set and a TopK knob.
-func topKSpace(workers, topK int, prune bool) SearchSpace {
-	s := fig10Space(workers, prune)
+func topKSpace(workers, topK int) SearchSpace {
+	s := fig10Space(workers)
 	s.Waves = []int{1, 2, 4, 8}
 	s.TopK = topK
 	return s
@@ -65,64 +65,62 @@ func TestCutoffState(t *testing.T) {
 func TestTopKPrefixMatchesExhaustive(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
-	for _, prune := range []bool{false, true} {
-		want := AutoTune(cl, model, topKSpace(1, 0, prune))
-		for _, topK := range []int{1, 3, 5} {
-			got := AutoTune(cl, model, topKSpace(1, topK, prune))
-			if len(got) != len(want) {
-				t.Fatalf("prune=%v topK=%d: %d candidates, want %d", prune, topK, len(got), len(want))
+	want := AutoTune(cl, model, topKSpace(1, 0))
+	for _, topK := range []int{1, 3, 5} {
+		got := AutoTune(cl, model, topKSpace(1, topK))
+		if len(got) != len(want) {
+			t.Fatalf("topK=%d: %d candidates, want %d", topK, len(got), len(want))
+		}
+		for i := 0; i < topK; i++ {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("topK=%d rank %d differs\ngot:  %+v\nwant: %+v",
+					topK, i, got[i], want[i])
 			}
-			for i := 0; i < topK; i++ {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("prune=%v topK=%d rank %d differs\ngot:  %+v\nwant: %+v",
-						prune, topK, i, got[i], want[i])
-				}
+		}
+		// Index the exhaustive values by cell for the tail checks. A
+		// wave-group row keys on (P, D) alone: a bound-pruned group may
+		// surface a different wave's plan than the exhaustive winner.
+		key := func(c Candidate) [3]interface{} {
+			scheme := c.Plan.Scheme
+			if strings.HasPrefix(scheme, "hanayo-") {
+				scheme = "hanayo"
 			}
-			// Index the exhaustive values by cell for the tail checks. A
-			// wave-group row keys on (P, D) alone: a bound-pruned group may
-			// surface a different wave's plan than the exhaustive winner.
-			key := func(c Candidate) [3]interface{} {
-				scheme := c.Plan.Scheme
-				if strings.HasPrefix(scheme, "hanayo-") {
-					scheme = "hanayo"
-				}
-				return [3]interface{}{scheme, c.Plan.P, c.Plan.D}
+			return [3]interface{}{scheme, c.Plan.P, c.Plan.D}
+		}
+		exact := map[[3]interface{}]Candidate{}
+		for _, c := range want {
+			exact[key(c)] = c
+		}
+		kth := want[topK-1].Throughput
+		pruned := 0
+		for _, c := range got {
+			w, ok := exact[key(c)]
+			if !ok {
+				t.Fatalf("topK=%d: candidate %s P=%d D=%d not in exhaustive sweep",
+					topK, c.Plan.Scheme, c.Plan.P, c.Plan.D)
 			}
-			exact := map[[3]interface{}]Candidate{}
-			for _, c := range want {
-				exact[key(c)] = c
+			if !c.BoundPruned {
+				if c.Throughput != w.Throughput || c.PeakGB != w.PeakGB || c.OOM != w.OOM {
+					t.Fatalf("topK=%d: fully evaluated %s P=%d D=%d diverges from exhaustive\ngot:  %+v\nwant: %+v",
+						topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, c, w)
+				}
+				continue
 			}
-			kth := want[topK-1].Throughput
-			pruned := 0
-			for _, c := range got {
-				w, ok := exact[key(c)]
-				if !ok {
-					t.Fatalf("prune=%v topK=%d: candidate %s P=%d D=%d not in exhaustive sweep",
-						prune, topK, c.Plan.Scheme, c.Plan.P, c.Plan.D)
-				}
-				if !c.BoundPruned {
-					if c.Throughput != w.Throughput || c.PeakGB != w.PeakGB || c.OOM != w.OOM || c.Pruned != w.Pruned {
-						t.Fatalf("prune=%v topK=%d: fully evaluated %s P=%d D=%d diverges from exhaustive\ngot:  %+v\nwant: %+v",
-							prune, topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, c, w)
-					}
-					continue
-				}
-				pruned++
-				if c.Bound <= 0 {
-					t.Fatalf("bound-pruned %s P=%d D=%d without a proven bound", c.Plan.Scheme, c.Plan.P, c.Plan.D)
-				}
-				if w.Throughput > c.Bound*(1+1e-9) {
-					t.Fatalf("prune=%v topK=%d: %s P=%d D=%d pruned with bound %.6f below its true value %.6f",
-						prune, topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Bound, w.Throughput)
-				}
-				if w.Throughput >= kth {
-					t.Fatalf("prune=%v topK=%d: %s P=%d D=%d pruned but its true value %.6f is top-%d material (kth %.6f)",
-						prune, topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, w.Throughput, topK, kth)
-				}
+			pruned++
+			if c.Bound <= 0 {
+				t.Fatalf("bound-pruned %s P=%d D=%d without a proven bound", c.Plan.Scheme, c.Plan.P, c.Plan.D)
 			}
-			if topK <= 3 && pruned == 0 {
-				t.Fatalf("prune=%v topK=%d: nothing bound-pruned on the fig10 grid — the bound is not biting", prune, topK)
+			if w.Throughput > c.Bound*(1+1e-9) {
+				t.Fatalf("topK=%d: %s P=%d D=%d pruned with bound %.6f below its true value %.6f",
+					topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Bound, w.Throughput)
 			}
+			if w.Throughput >= kth {
+				t.Fatalf("topK=%d: %s P=%d D=%d pruned but its true value %.6f is top-%d material (kth %.6f)",
+					topK, c.Plan.Scheme, c.Plan.P, c.Plan.D, w.Throughput, topK, kth)
+			}
+		}
+		if topK <= 3 && pruned == 0 {
+			t.Fatalf("topK=%d: nothing bound-pruned on the fig10 grid — the bound is not biting", topK)
 		}
 	}
 }
@@ -134,9 +132,9 @@ func TestTopKWorkerInvariance(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 	const topK = 3
-	want := AutoTune(cl, model, topKSpace(1, topK, false))[:topK]
+	want := AutoTune(cl, model, topKSpace(1, topK))[:topK]
 	for _, workers := range []int{2, 4, 8} {
-		got := AutoTune(cl, model, topKSpace(workers, topK, false))[:topK]
+		got := AutoTune(cl, model, topKSpace(workers, topK))[:topK]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: top-%d differs from serial\ngot:  %+v\nwant: %+v",
 				workers, topK, got, want)
@@ -151,9 +149,9 @@ func TestTopKShardMergeParity(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 	const topK = 3
-	want := AutoTune(cl, model, topKSpace(1, 0, false))[:topK]
+	want := AutoTune(cl, model, topKSpace(1, 0))[:topK]
 	for _, n := range []int{2, 3, 4} {
-		space := topKSpace(2, topK, false)
+		space := topKSpace(2, topK)
 		parts := make([][]Candidate, n)
 		for i := 0; i < n; i++ {
 			parts[i] = AutoTuneShard(cl, model, space.Shard(i, n))
@@ -175,11 +173,11 @@ func TestTopKSkipsSimulations(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 	before := SimRuns()
-	AutoTune(cl, model, topKSpace(1, 0, false))
+	AutoTune(cl, model, topKSpace(1, 0))
 	exhaustive := SimRuns() - before
 
 	before = SimRuns()
-	AutoTune(cl, model, topKSpace(1, 3, false))
+	AutoTune(cl, model, topKSpace(1, 3))
 	bounded := SimRuns() - before
 	if bounded >= exhaustive {
 		t.Fatalf("TopK=3 issued %d simulator walks, exhaustive %d — the bound never skipped a cell",
@@ -196,16 +194,16 @@ func TestTopKSkipsSimulations(t *testing.T) {
 func TestTunerTopKNeverCachesBoundPruned(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
-	want := AutoTune(cl, model, topKSpace(2, 0, false))
+	want := AutoTune(cl, model, topKSpace(2, 0))
 
 	remote := cachewire.NewLoopback(0)
 	warm := NewTuner(TunerOptions{Remote: remote})
-	bounded := warm.AutoTune(cl, model, topKSpace(2, 3, false))
+	bounded := warm.AutoTune(cl, model, topKSpace(2, 3))
 	if !reflect.DeepEqual(bounded[:3], want[:3]) {
 		t.Fatalf("tuner TopK=3 top-3 differs from exhaustive\ngot:  %+v\nwant: %+v", bounded[:3], want[:3])
 	}
 	cold := NewTuner(TunerOptions{Remote: remote})
-	got := cold.AutoTune(cl, model, topKSpace(2, 0, false))
+	got := cold.AutoTune(cl, model, topKSpace(2, 0))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("exhaustive sweep over the TopK-warmed tier diverges — a bound-pruned entry leaked into the cache\ngot:  %+v\nwant: %+v",
 			got, want)

@@ -71,13 +71,16 @@ type sweepCache struct {
 	sched map[schedKey]*schedEntry
 	eval  map[schedKey]*evalEntry
 	// full is the branch-and-bound sweep's result memo (TopK > 0): only
-	// COMPLETE evaluations — full simulations, memtrace OOM verdicts,
-	// deterministic errors — all of them D-invariant. Deadline-aborted
-	// results never enter (their abort cap depends on the observing cell's
-	// D and the cutoff at evaluation time, so they are not reusable facts
-	// about the key). Unlike eval there is no per-key Once: racing workers
+	// COMPLETE evaluations — full simulations and deterministic errors —
+	// all of them D-invariant. Deadline-aborted results never enter (their
+	// abort cap depends on the observing cell's D and the cutoff at
+	// evaluation time, so they are not reusable facts about the key). Unlike eval there is no per-key Once: racing workers
 	// may duplicate a bounded measurement, which only over-evaluates.
 	full map[schedKey]*fullEntry
+	// sims counts the simulations issued for this sweep — the per-sweep
+	// twin of the process-wide simRuns, so concurrent sweeps never
+	// inflate each other's count.
+	sims atomic.Int64
 }
 
 type fullEntry struct {
@@ -114,17 +117,16 @@ type schedEntry struct {
 
 // memMargin is the fraction of device HBM an evaluation may claim — the
 // standard 5% framework-reserve headroom applied by every feasibility
-// check (Plan.Fits, the sweep's OOM cells, the pruning budgets).
+// check (Plan.Fits and the sweep's OOM cells).
 const memMargin = 0.95
 
 // evalShared is the D-invariant slice of one evaluation: everything a
 // candidate needs except the ×D throughput scaling.
 type evalShared struct {
-	sim        *sim.Result        // nil on pruned and cache-hit paths
+	sim        *sim.Result        // nil on runner and cache-hit paths
 	mt         *memtrace.Result   // AnalyticOnly path only
 	mem        *memmodel.Estimate // nil on cross-sweep cache hits
 	fits       bool
-	pruned     bool    // OOM decided by the memtrace front end; no sim ran
 	maxGB      float64 // peak per-device footprint (mem.MaxGB() when mem != nil)
 	perReplica float64 // sequences/s of one replica
 	// boundOnly marks a deadline-aborted evaluation (the bound-and-prune
@@ -385,6 +387,9 @@ func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, runner *sim.Runner
 		return nil, err
 	}
 	simRuns.Add(1)
+	if p.cache != nil {
+		p.cache.sims.Add(1)
+	}
 	var r *sim.Result
 	if deadline > 0 && runner != nil {
 		var exceeded bool
@@ -488,10 +493,8 @@ type Candidate struct {
 	Throughput float64 // sequences/s; 0 when OOM
 	PeakGB     float64
 	OOM        bool
-	// Pruned marks an OOM verdict produced by the memtrace-first front end
-	// (SearchSpace.Prune): the cell never entered the timing simulation,
-	// and PeakGB is the infeasibility-proving lower bound the aborted
-	// replay observed rather than the full-iteration peak.
+	// Pruned is always false: every cell, OOM ones included, is decided
+	// by its one simulation. It stays for callers that still read it.
 	Pruned bool
 	// BoundPruned marks a cell the bound-and-prune sweep (SearchSpace.TopK)
 	// eliminated without a complete simulation — its analytic lower bound
@@ -539,15 +542,6 @@ type SearchSpace struct {
 	// identical candidate ranking — measurements land in deterministic
 	// slots before the final stable sort.
 	Workers int
-	// Prune enables the memtrace-first OOM front end (the paper's
-	// decomposition of plan search into a cheap memory-feasibility check
-	// ahead of the expensive timing model): every unique (scheme, P, B)
-	// key replays memory first (~no timing model) and infeasible cells
-	// skip sim.Run entirely, yet still appear in the ranking as OOM.
-	// Feasible cells pay the replay on top of their one simulation, so
-	// pruning wins whenever OOM cells are common — large models pressing
-	// against device memory, exactly the regime the search targets.
-	Prune bool
 	// TopK, when positive, turns the exhaustive sweep into an exact
 	// branch-and-bound search over the timing axis: cells are visited in
 	// best-first order of their analytic throughput upper bound
@@ -645,64 +639,26 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 }
 
 // evaluator bundles the reusable executors one sweep worker drives: a
-// sched.Generator for schedule compilation, a sim.Runner for timed
-// evaluation, a memtrace.Replayer for the OOM front end, and the budget
-// scratch they share. Reused across every key a worker measures — and,
-// inside a Tuner, across sweeps — so the steady-state evaluation pipeline
+// sched.Generator for schedule compilation and a sim.Runner for timed
+// evaluation. Reused across every key a worker measures — and, inside a
+// Tuner, across sweeps — so the steady-state evaluation pipeline
 // allocates only per-key outputs (retained schedules, estimates), never
 // per-run generator or executor state.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
-	replay *memtrace.Replayer
-	budget []float64 // per-device activation-byte budgets (scratch)
 }
 
 func newEvaluator() *evaluator {
-	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner(), replay: memtrace.NewReplayer()}
+	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner()}
 }
 
-// evalSchedule measures one (scheme, P, B) key on this evaluator's
-// reusable executors: memory replay first when pruning (infeasible cells
-// never reach sim.Run), then one timed simulation for the cells that fit.
-// deadline > 0 caps the simulation's virtual clock (the bound-and-prune
-// sweep's measurement path); the memtrace OOM front end always runs
-// uncapped, so its verdicts stay complete, cacheable facts.
-func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, prune bool, deadline float64) (*evalShared, error) {
-	cl, model, rows := plan.Cluster, plan.Model, plan.MicroRows
-	if prune {
-		weights := memmodel.Weights(s, model)
-		ev.budget = ev.budget[:0]
-		overweight := false
-		for d := 0; d < s.P; d++ {
-			b := cl.MemBytes(d%cl.N())*memMargin - weights[d]
-			if b < 0 {
-				overweight = true
-			}
-			ev.budget = append(ev.budget, b)
-		}
-		if overweight {
-			// Weights alone overflow a device: OOM before any execution.
-			mem := &memmodel.Estimate{WeightBytes: weights, ActBytes: make([]float64, s.P)}
-			return &evalShared{mem: mem, maxGB: mem.MaxGB(), pruned: true,
-				splitBW: splitBackwardScheme(plan.Scheme)}, nil
-		}
-		mt, exceeded, err := ev.replay.RunBudget(s, model, rows, ev.budget)
-		if err != nil {
-			return nil, err
-		}
-		if exceeded {
-			// The replay stopped at the violating forward; its partial
-			// peaks already prove infeasibility (copied out of the
-			// Replayer-owned result before the next replay reuses it).
-			acts := make([]float64, s.P)
-			copy(acts, mt.PeakBytes)
-			mem := &memmodel.Estimate{WeightBytes: weights, ActBytes: acts}
-			return &evalShared{mem: mem, maxGB: mem.MaxGB(), pruned: true,
-				splitBW: splitBackwardScheme(plan.Scheme)}, nil
-		}
-		// Fits: fall through to the timing model.
-	}
+// evalSchedule measures one (scheme, P, B) key with one timed simulation
+// on this evaluator's reusable runner; that simulation also yields the
+// memory verdict, so OOM cells cost what feasible ones do. deadline > 0
+// caps the simulation's virtual clock (the bound-and-prune sweep's
+// measurement path).
+func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, deadline float64) (*evalShared, error) {
 	return plan.simEvaluate(s, sim.DefaultOptions(), ev.runner, deadline)
 }
 
@@ -729,13 +685,13 @@ func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, prune bool, dead
 // may therefore duplicate a measurement, which only over-evaluates —
 // complete results are deterministic, so whichever publication lands is
 // the same entry.
-func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
+func evalKey(plan Plan, own *evaluator, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
 	if t == nil {
 		s, err := plan.scheduleWith(own.gen)
 		if err != nil {
 			return nil, err
 		}
-		return own.evalSchedule(s, plan, prune, deadline)
+		return own.evalSchedule(s, plan, deadline)
 	}
 	if ent, ok := t.cache.get(gk, hk); ok {
 		return ent.toShared(), nil
@@ -749,7 +705,7 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 		}
 	}
 	if deadline > 0 {
-		return t.measure(plan, prune, gk, hk, sr, deadline)
+		return t.measure(plan, gk, hk, sr, deadline)
 	}
 	f, leader := t.join(gk)
 	if !leader {
@@ -769,7 +725,7 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 		f.ent = ent
 		return ent.toShared(), nil
 	}
-	es, err := t.measure(plan, prune, gk, hk, sr, 0)
+	es, err := t.measure(plan, gk, hk, sr, 0)
 	if err != nil {
 		f.err = err
 		return nil, err
@@ -850,8 +806,8 @@ func (c *cutoffState) observe(slot int, thr float64) {
 // space.Workers goroutines sharing one schedule cache, so identical action
 // lists are generated and validated once per sweep; the ranking is
 // independent of the worker count. Each worker owns a reusable
-// sim.Runner/memtrace.Replayer pair, and space.Prune routes every key
-// through the memory-replay front end before the timing model.
+// sched.Generator/sim.Runner pair, and each unique key is decided by its
+// one simulation, which yields the throughput and the memory verdict.
 // space.TopK > 0 trades the exhaustive tail for speed: the first TopK
 // ranks stay exact and bit-for-bit identical while provably losing cells
 // are bound-pruned (see SearchSpace.TopK and Candidate.BoundPruned).
@@ -881,8 +837,8 @@ func sortCandidates(cands []Candidate) {
 // sweepGrid measures the (sharded slice of the) candidate grid and
 // returns its candidates in grid order — (P, D) major, schemes then the
 // wave-group winner within each — without the final ranking sort.
-// stats (nil everywhere except Rerank) receives the sweep's cell, row and
-// prune counts.
+// stats (nil everywhere except Rerank) receives the sweep's cell, row,
+// bound-prune and simulation counts.
 func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner, stats *RerankStats) []Candidate {
 	space = space.withDefaults(cl)
 	workers := space.Workers
@@ -920,7 +876,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	layout := func(plan Plan, pd int, wave bool) {
 		tk := sweepTask{plan: plan, pd: pd, wave: wave, slot: slots, ub: math.Inf(1)}
 		if t != nil {
-			tk.gk = keyFor(plan, space.Prune, clusterFP)
+			tk.gk = keyFor(plan, clusterFP)
 			tk.hk = tk.gk.hash()
 		}
 		if space.TopK > 0 {
@@ -1028,12 +984,12 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 			for i := range feed {
 				tk := &tasks[i]
 				if space.TopK > 0 {
-					measured[i] = evalBounded(tk, cache, own, space.Prune, t, sr, cut)
+					measured[i] = evalBounded(tk, cache, own, t, sr, cut)
 					continue
 				}
 				plan := tk.plan
 				es, err := cache.evalFor(schedKey{plan.Scheme, plan.P, plan.B},
-					func() (*evalShared, error) { return evalKey(plan, own, space.Prune, t, tk.gk, tk.hk, sr, 0) })
+					func() (*evalShared, error) { return evalKey(plan, own, t, tk.gk, tk.hk, sr, 0) })
 				measured[i] = candidateFrom(plan, es, err)
 			}
 		}()
@@ -1045,6 +1001,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	if stats != nil {
 		stats.Cells = len(tasks)
 		stats.Rows = slots
+		stats.SweepSims = cache.sims.Load()
 		if cut != nil {
 			stats.Pruned = cut.pruned.Load()
 		}
@@ -1112,7 +1069,7 @@ type sweepTask struct {
 // every complete row value back into the cutoff. The cutoff is read once
 // per cell; it can only have risen by evaluation time, so a stale read
 // merely over-evaluates.
-func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t *Tuner, sr *sweepRemote, cut *cutoffState) Candidate {
+func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, t *Tuner, sr *sweepRemote, cut *cutoffState) Candidate {
 	plan := tk.plan
 	k := schedKey{plan.Scheme, plan.P, plan.B}
 	if es, err, ok := cache.peekFull(k); ok {
@@ -1134,7 +1091,7 @@ func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t
 		// strict too, so a run landing exactly on the cap completes.
 		deadline = float64(plan.D*plan.B*plan.MicroRows) / co
 	}
-	es, err := evalKey(plan, own, prune, t, tk.gk, tk.hk, sr, deadline)
+	es, err := evalKey(plan, own, t, tk.gk, tk.hk, sr, deadline)
 	if err == nil && es.boundOnly {
 		cut.pruned.Add(1)
 		return boundPrunedCandidate(plan, es.perReplica*float64(plan.D))
@@ -1226,7 +1183,6 @@ func candidateFrom(plan Plan, es *evalShared, err error) Candidate {
 		return c
 	}
 	c.PeakGB = es.maxGB
-	c.Pruned = es.pruned
 	if !es.fits {
 		c.OOM = true
 		return c

@@ -18,7 +18,7 @@ import (
 func TestSweepPrefetchFramesO1(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(8, false)
+	space := shardSpace(8)
 	want := AutoTune(cl, model, space)
 
 	lb := cachewire.NewLoopback(0)
@@ -66,7 +66,7 @@ func (p plainTier) Put(key uint64, e cachewire.Entry) error       { return p.lb.
 func TestPlainTierSweep(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(8, false)
+	space := shardSpace(8)
 	want := AutoTune(cl, model, space)
 	tier := plainTier{cachewire.NewLoopback(0)}
 
@@ -166,7 +166,7 @@ func TestRingTierShardParity(t *testing.T) {
 	}
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(16, true) // B=16 presses into OOM cells
+	space := shardSpace(16) // B=16 presses into OOM cells
 	want := AutoTune(cl, model, space)
 
 	const n = 2

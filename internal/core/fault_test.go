@@ -58,7 +58,7 @@ func TestTopKExactOnPerturbedCluster(t *testing.T) {
 		sim.LinkDegrade(2, 3, 0.5, 1),
 	}}
 	mk := func(topK int) SearchSpace {
-		s := topKSpace(1, topK, false)
+		s := topKSpace(1, topK)
 		s.Faults = plan
 		return s
 	}
@@ -90,7 +90,7 @@ func TestFaultSweepCacheIsolation(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 	tuner := NewTuner(TunerOptions{Runners: 2})
-	clean := fig10Space(2, false)
+	clean := fig10Space(2)
 	faulty := clean
 	faulty.Faults = &sim.FaultPlan{Events: []sim.FaultEvent{sim.SlowDown(0, 0.5, 0)}}
 
@@ -131,7 +131,7 @@ func TestFaultSweepCacheIsolation(t *testing.T) {
 func TestFailedCellsSurfaceDeterministically(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
-	space := fig10Space(2, false)
+	space := fig10Space(2)
 	space.Faults = &sim.FaultPlan{Events: []sim.FaultEvent{sim.Fail(0, 0)}, RestartCost: 2}
 	tuner := NewTuner(TunerOptions{Runners: 2})
 	cands := tuner.AutoTune(cl, model, space)

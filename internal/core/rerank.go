@@ -12,9 +12,8 @@ const rerankDefaultTopK = 3
 
 // RerankStats reports what one replanning sweep did: the grid it laid
 // out, the cells the branch-and-bound cutoff eliminated, and the
-// simulations it issued. Sim counters are deltas of the process-wide
-// SimRuns hook, so concurrent unrelated sweeps in the same process can
-// inflate them; within one replanning call they are exact.
+// simulations it issued. SweepSims is counted per sweep, so concurrent
+// sweeps in the same process never inflate it.
 type RerankStats struct {
 	Cells  int   // grid cells laid out by the sweep
 	Rows   int   // output rows (a wave group collapses to one row)
@@ -43,9 +42,7 @@ func (t *Tuner) Rerank(prev []Candidate, cl *cluster.Cluster, model nn.Config, s
 	space.shardIndex, space.shardCount = 0, 0
 
 	var stats RerankStats
-	base := SimRuns()
 	out := sweepGrid(cl, model, space, t, &stats)
 	sortCandidates(out)
-	stats.SweepSims = SimRuns() - base
 	return out, stats
 }

@@ -250,6 +250,60 @@ func TestRerankDefaultsTopK(t *testing.T) {
 	}
 }
 
+// TestRerankSweepSimsIgnoresConcurrentSweeps: SweepSims counts only the
+// replanning sweep's own simulations. A serial Rerank on fresh Tuners is
+// deterministic, so every repeat must report the quiet run's count while
+// an unrelated AutoTune loops in another goroutine and issues
+// simulations of its own throughout.
+func TestRerankSweepSimsIgnoresConcurrentSweeps(t *testing.T) {
+	cl := cluster.TACC(8)
+	model := nn.BERTStyle()
+	space := rerankWideSpace(1, 3)
+	rerank := func() int64 {
+		_, stats := NewTuner(TunerOptions{Runners: 1}).Rerank(nil, cl, model, space)
+		return stats.SweepSims
+	}
+
+	before := SimRuns()
+	want := rerank()
+	if quiet := SimRuns() - before; want != quiet || want == 0 {
+		t.Fatalf("quiet Rerank reported %d simulations, the process issued %d", want, quiet)
+	}
+
+	stop := make(chan struct{})
+	swept := make(chan struct{}, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		other := cluster.TACC(16)
+		for {
+			AutoTune(other, model, rerankSpace(1, 0))
+			select {
+			case swept <- struct{}{}:
+			default:
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-swept // the background loop is issuing simulations
+	var got []int64
+	for i := 0; i < 5; i++ {
+		got = append(got, rerank())
+	}
+	close(stop)
+	<-done
+	for i, n := range got {
+		if n != want {
+			t.Fatalf("Rerank %d reported %d simulations beside a concurrent sweep, want %d (all: %v)",
+				i, n, want, got)
+		}
+	}
+}
+
 // BenchmarkRerankAfterLeave is the replanning-latency benchmark pinned
 // by the CI bench smoke step: one re-rank on a fresh Tuner after a single
 // DeviceLeave.

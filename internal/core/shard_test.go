@@ -15,7 +15,7 @@ import (
 // suite — six named regular schemes plus the hanayo-w{1,2,4} wave
 // group — with (at B=16) OOM cells: every candidate kind the merge has
 // to carry.
-func shardSpace(b int, prune bool) SearchSpace {
+func shardSpace(b int) SearchSpace {
 	return SearchSpace{
 		Schemes:   []string{"gpipe", "dapple", "chimera", "chimera-wave", "gems", "interleaved-v2"},
 		PD:        [][2]int{{4, 4}, {8, 2}, {16, 1}},
@@ -23,7 +23,6 @@ func shardSpace(b int, prune bool) SearchSpace {
 		B:         b,
 		MicroRows: 2,
 		Workers:   4,
-		Prune:     prune,
 	}
 }
 
@@ -34,19 +33,17 @@ func shardSpace(b int, prune bool) SearchSpace {
 func TestShardMergeParity(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	for _, prune := range []bool{false, true} {
-		space := shardSpace(8, prune)
-		want := AutoTune(cl, model, space)
-		for _, n := range []int{1, 2, 3, 4} {
-			parts := make([][]Candidate, n)
-			for i := 0; i < n; i++ {
-				parts[i] = AutoTuneShard(cl, model, space.Shard(i, n))
-			}
-			got := MergeShards(parts...)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("prune=%v n=%d: merged shard ranking differs from AutoTune\ngot:  %+v\nwant: %+v",
-					prune, n, got, want)
-			}
+	space := shardSpace(8)
+	want := AutoTune(cl, model, space)
+	for _, n := range []int{1, 2, 3, 4} {
+		parts := make([][]Candidate, n)
+		for i := 0; i < n; i++ {
+			parts[i] = AutoTuneShard(cl, model, space.Shard(i, n))
+		}
+		got := MergeShards(parts...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: merged shard ranking differs from AutoTune\ngot:  %+v\nwant: %+v",
+				n, got, want)
 		}
 	}
 }
@@ -57,7 +54,7 @@ func TestShardMergeParity(t *testing.T) {
 func TestShardsPartitionTheGrid(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(8, false)
+	space := shardSpace(8)
 	full := AutoTune(cl, model, space)
 	const n = 3
 	seen := map[[3]interface{}]bool{}
@@ -105,7 +102,7 @@ func TestShardValidation(t *testing.T) {
 func TestTunerRemoteTierZeroSims(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(8, false)
+	space := shardSpace(8)
 	want := AutoTune(cl, model, space)
 
 	lb := cachewire.NewLoopback(0)
@@ -133,11 +130,11 @@ func TestTunerRemoteTierZeroSims(t *testing.T) {
 // processes would be) split the grid, publish to one shared tier, and
 // their merged ranking matches AutoTune; afterwards a third cold Tuner
 // sweeps the FULL grid with zero simulations because every key is
-// already in the shared tier — including pruned OOM verdicts.
+// already in the shared tier — including OOM verdicts.
 func TestShardedWorkersFillRemoteTier(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	space := shardSpace(16, true) // B=16 presses into OOM on TACC
+	space := shardSpace(16) // B=16 presses into OOM on TACC
 	want := AutoTune(cl, model, space)
 
 	lb := cachewire.NewLoopback(0)
@@ -149,12 +146,6 @@ func TestShardedWorkersFillRemoteTier(t *testing.T) {
 	}
 	merged := MergeShards(parts...)
 	candidatesEqual(t, "merged remote-backed shards", merged, want)
-	for i := range want {
-		if merged[i].Pruned != want[i].Pruned {
-			t.Fatalf("rank %d: Pruned=%v did not survive the wire, want %v",
-				i, merged[i].Pruned, want[i].Pruned)
-		}
-	}
 
 	late := NewTuner(TunerOptions{Runners: 2, Remote: lb})
 	before := simRuns.Load()
@@ -230,7 +221,6 @@ func TestTunerKeyHashStable(t *testing.T) {
 		model:   nn.BERTStyle(),
 		scheme:  "hanayo-w2",
 		p:       8, b: 16, rows: 2,
-		prune: false,
 	}
 	if base.hash() != base.hash() {
 		t.Fatal("hash is not deterministic")
@@ -239,14 +229,13 @@ func TestTunerKeyHashStable(t *testing.T) {
 	if got := base.hash(); got != golden {
 		t.Fatalf("wire key hash drifted: got %#x, want %#x", got, golden)
 	}
-	mutants := []tunerKey{base, base, base, base, base, base, base}
+	mutants := []tunerKey{base, base, base, base, base, base}
 	mutants[0].cluster++
 	mutants[1].model.Hidden++
 	mutants[2].scheme = "hanayo-w4"
 	mutants[3].p = 16
 	mutants[4].rows = 1
-	mutants[5].prune = true
-	mutants[6].faults = (&sim.FaultPlan{Events: []sim.FaultEvent{sim.SlowDown(0, 0.5, 0)}}).Fingerprint()
+	mutants[5].faults = (&sim.FaultPlan{Events: []sim.FaultEvent{sim.SlowDown(0, 0.5, 0)}}).Fingerprint()
 	for i, m := range mutants {
 		if m.hash() == base.hash() {
 			t.Errorf("mutant %d hashes like the base key", i)

@@ -1,9 +1,8 @@
 // The tuning service: AutoTune packaged for steady-state serving. One
 // process-wide Tuner owns (1) a bounded pool of reusable evaluators —
-// sched.Generator + sim.Runner + memtrace.Replayer triples whose arenas
-// stay warm across requests, so the per-candidate hot path (schedule
-// compilation included) allocates nothing — and (2) a
-// sharded, size-bounded cross-sweep cache of evaluation results keyed by
+// sched.Generator + sim.Runner pairs whose arenas stay warm across
+// requests, so the per-candidate hot path (schedule compilation included)
+// allocates nothing — and (2) a sharded, size-bounded cross-sweep cache of evaluation results keyed by
 // (cluster fingerprint, model config, scheme, P, B, MicroRows), so
 // repeated and overlapping sweeps — calibration loops, wave sweeps, many
 // users tuning similar models — hit cached evaluations instead of
@@ -121,9 +120,9 @@ func (t *Tuner) land(gk tunerKey, f *flight) {
 
 // AutoTune runs one configuration sweep through the service: identical
 // semantics and ranking as the package-level AutoTune (including
-// space.Prune and worker-count invariance), but evaluators come from the
-// Tuner's bounded pool and every (cluster, model, scheme, P, B, MicroRows)
-// evaluation is served from — and published to — the cross-sweep cache.
+// worker-count invariance), but evaluators come from the Tuner's bounded
+// pool and every (cluster, model, scheme, P, B, MicroRows) evaluation is
+// served from — and published to — the cross-sweep cache.
 func (t *Tuner) AutoTune(cl *cluster.Cluster, model nn.Config, space SearchSpace) []Candidate {
 	return sweep(cl, model, space, t)
 }
@@ -147,16 +146,16 @@ func (t *Tuner) checkin(ev *evaluator) { t.pool <- ev }
 // measure evaluates one key that missed every cache tier on a pooled
 // evaluator and publishes a complete result to the local cache and the
 // sweep's remote flush; a deadline-aborted result is returned unpublished.
-// The checkout covers the whole measurement (compile + replay + sim) —
-// schedule compilation is real work the admission control should bound.
-func (t *Tuner) measure(plan Plan, prune bool, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
+// The checkout covers the whole measurement (compile + sim) — schedule
+// compilation is real work the admission control should bound.
+func (t *Tuner) measure(plan Plan, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
 	ev := t.checkout()
 	defer t.checkin(ev)
 	s, err := plan.scheduleWith(ev.gen)
 	if err != nil {
 		return nil, err
 	}
-	es, err := ev.evalSchedule(s, plan, prune, deadline)
+	es, err := ev.evalSchedule(s, plan, deadline)
 	if err != nil || es.boundOnly {
 		return es, err
 	}
@@ -222,8 +221,7 @@ func (sr *sweepRemote) prefetch(gks []tunerKey, hks []uint64) {
 			continue
 		}
 		ent := tunerEntry{perReplica: out[i].PerReplica, maxGB: out[i].MaxGB,
-			fits: out[i].Fits, pruned: out[i].Pruned, failed: out[i].Failed,
-			splitBW: out[i].SplitBW}
+			fits: out[i].Fits, failed: out[i].Failed, splitBW: out[i].SplitBW}
 		sr.hits[hk] = ent
 		t.cache.put(gks[i], hk, ent)
 	}
@@ -234,7 +232,7 @@ func (sr *sweepRemote) publish(h uint64, e tunerEntry) {
 	sr.mu.Lock()
 	sr.keys = append(sr.keys, h)
 	sr.ents = append(sr.ents, cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW})
+		Fits: e.fits, Failed: e.failed, SplitBW: e.splitBW})
 	sr.mu.Unlock()
 }
 
@@ -254,24 +252,22 @@ func (sr *sweepRemote) flush() {
 // content fingerprint (presets build a fresh *Cluster per call, so pointer
 // identity would never hit); the model config is comparable and embedded
 // whole. MicroRows is part of the workload (it scales compute and comm
-// times and activation bytes) and prune is included because a pruned OOM
-// cell reports the early-exit peak rather than the full-iteration peak.
-// faults is the plan's sim.FaultPlan fingerprint (0 when fault-free), so
-// a faulty sweep can never serve — or poison — a fault-free entry.
+// times and activation bytes). faults is the plan's sim.FaultPlan
+// fingerprint (0 when fault-free), so a faulty sweep can never serve — or
+// poison — a fault-free entry.
 type tunerKey struct {
 	cluster uint64
 	model   nn.Config
 	scheme  string
 	p, b    int
 	rows    int
-	prune   bool
 	faults  uint64
 }
 
 // keyFor builds the cross-sweep cache key for one plan. clusterFP is the
 // plan's cluster fingerprint, hashed once per sweep by the caller (the
 // matrices are O(P²) to hash and sweep-constant).
-func keyFor(plan Plan, prune bool, clusterFP uint64) tunerKey {
+func keyFor(plan Plan, clusterFP uint64) tunerKey {
 	return tunerKey{
 		cluster: clusterFP,
 		model:   plan.Model,
@@ -279,15 +275,14 @@ func keyFor(plan Plan, prune bool, clusterFP uint64) tunerKey {
 		p:       plan.P,
 		b:       plan.B,
 		rows:    plan.MicroRows,
-		prune:   prune,
 		faults:  plan.Faults.Fingerprint(),
 	}
 }
 
 // hash reduces the key to a stable 64-bit FNV-1a digest: the cluster
 // fingerprint (itself a content hash), every model-config field, the
-// scheme, the (P, B, MicroRows) shape and the prune flag, with strings
-// length-prefixed exactly as cluster.Fingerprint does. It is the wire key
+// scheme, the (P, B, MicroRows) shape and the fault-plan fingerprint, with
+// strings length-prefixed exactly as cluster.Fingerprint does. It is the wire key
 // of the cross-process cache tier — stable across processes, builds and
 // architectures — and the shard selector of the in-process cache, so both
 // tiers spread one key the same way. (Two distinct keys colliding in 64
@@ -331,7 +326,10 @@ func (k tunerKey) hash() uint64 {
 	u64(uint64(int64(k.p)))
 	u64(uint64(int64(k.b)))
 	u64(uint64(int64(k.rows)))
-	b(k.prune)
+	// The slot of the retired prune flag, always false: writing its 0
+	// keeps every digest equal to those already in snapshots and cache
+	// tiers.
+	u64(0)
 	u64(k.faults)
 	return h
 }
@@ -345,7 +343,6 @@ type tunerEntry struct {
 	perReplica float64
 	maxGB      float64
 	fits       bool
-	pruned     bool
 	failed     bool
 	splitBW    bool
 	failedDev  int
@@ -356,14 +353,14 @@ type tunerEntry struct {
 // toShared lifts a compact cache entry back into the sweep's evaluation
 // shape (no sim/mem pointers: those never enter the cache).
 func (e tunerEntry) toShared() *evalShared {
-	return &evalShared{fits: e.fits, pruned: e.pruned, maxGB: e.maxGB, perReplica: e.perReplica,
+	return &evalShared{fits: e.fits, maxGB: e.maxGB, perReplica: e.perReplica,
 		failed: e.failed, failedDev: e.failedDev, failTime: e.failTime, recovery: e.recovery,
 		splitBW: e.splitBW}
 }
 
 // entryFrom compacts one fresh evaluation for the cache tiers.
 func entryFrom(es *evalShared) tunerEntry {
-	return tunerEntry{fits: es.fits, pruned: es.pruned, maxGB: es.maxGB, perReplica: es.perReplica,
+	return tunerEntry{fits: es.fits, maxGB: es.maxGB, perReplica: es.perReplica,
 		failed: es.failed, failedDev: es.failedDev, failTime: es.failTime, recovery: es.recovery,
 		splitBW: es.splitBW}
 }

@@ -9,32 +9,32 @@ import (
 )
 
 // fig10Space is the OOM-heavy Fig 10 search space (batch sized to press
-// against TACC's 40 GB devices) used by the pruning and service tests.
-func fig10Space(workers int, prune bool) SearchSpace {
+// against TACC's 40 GB devices) used by the OOM and service tests.
+func fig10Space(workers int) SearchSpace {
 	return SearchSpace{
 		PD:        [][2]int{{8, 4}, {16, 2}, {32, 1}},
 		Waves:     []int{1, 2, 4},
 		B:         16,
 		MicroRows: 2,
 		Workers:   workers,
-		Prune:     prune,
 	}
 }
 
-// TestPruneSkipsSimForOOMCells is the acceptance-criteria test: with
-// Prune on, OOM cells never invoke sim.Run — the sweep issues exactly one
-// simulation per feasible unique key — yet every pruned cell still appears
-// in the ranking as an OOM candidate. The simRuns hook is process-global,
-// so this test must not run in parallel with other simulating tests.
-func TestPruneSkipsSimForOOMCells(t *testing.T) {
+// TestSweepSimulatesOOMCells: an OOM cell is decided by its one
+// simulation like any other — the sweep issues exactly one simulation per
+// unique key, OOM keys included — and every OOM cell still appears in the
+// ranking with zero throughput and its full-iteration peak, which exceeds
+// the memory budget. The simRuns hook is process-global, so this test
+// must not run in parallel with other simulating tests.
+func TestSweepSimulatesOOMCells(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 
-	// Count feasible unique (scheme, P, B) keys over the FULL grid — the
-	// sweep's wave-group reduction hides non-best waves from the candidate
-	// list, but their keys are still evaluated.
-	space := fig10Space(4, true)
-	feasibleKeys, oomKeys := 0, 0
+	// Count unique (scheme, P, B) keys over the FULL grid — the sweep's
+	// wave-group reduction hides non-best waves from the candidate list,
+	// but their keys are still evaluated.
+	space := fig10Space(4)
+	keys, oomKeys := 0, 0
 	for _, pd := range space.PD {
 		for _, scheme := range []string{"gpipe", "dapple", "chimera-wave",
 			"hanayo-w1", "hanayo-w2", "hanayo-w4"} {
@@ -44,78 +44,41 @@ func TestPruneSkipsSimForOOMCells(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", scheme, pd[0], err)
 			}
-			if e.Fits {
-				feasibleKeys++
-			} else {
+			keys++
+			if !e.Fits {
 				oomKeys++
 			}
 		}
 	}
 	if oomKeys == 0 {
-		t.Fatal("this space must contain OOM cells for the pruning test to bite")
+		t.Fatal("this space must contain OOM cells for the test to bite")
 	}
 
 	before := simRuns.Load()
-	pruned := AutoTune(cl, model, space)
-	if got := simRuns.Load() - before; int(got) != feasibleKeys {
-		t.Fatalf("pruned sweep issued %d simulations, want one per feasible key = %d",
-			got, feasibleKeys)
+	cands := AutoTune(cl, model, space)
+	if got := simRuns.Load() - before; int(got) != keys {
+		t.Fatalf("sweep issued %d simulations, want one per unique key = %d (%d OOM)",
+			got, keys, oomKeys)
 	}
 
 	oomSeen := 0
-	for _, c := range pruned {
-		if c.OOM {
-			oomSeen++
-			if !c.Pruned {
-				t.Errorf("%s P=%d D=%d: OOM cell not marked Pruned under Prune", c.Plan.Scheme, c.Plan.P, c.Plan.D)
-			}
-			if c.Throughput != 0 {
-				t.Errorf("%s P=%d D=%d: OOM cell has throughput %g", c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Throughput)
-			}
-			// The early-exit peak must already prove infeasibility: above
-			// the 95% margin of TACC's 40 GB devices (weights included).
-			if c.PeakGB <= 40*memMargin {
-				t.Errorf("%s P=%d D=%d: pruned PeakGB %.1f does not exceed the 38 GB budget",
-					c.Plan.Scheme, c.Plan.P, c.Plan.D, c.PeakGB)
-			}
-		} else if c.Pruned {
-			t.Errorf("%s P=%d D=%d: feasible cell marked Pruned", c.Plan.Scheme, c.Plan.P, c.Plan.D)
+	for _, c := range cands {
+		if !c.OOM {
+			continue
+		}
+		oomSeen++
+		if c.Throughput != 0 {
+			t.Errorf("%s P=%d D=%d: OOM cell has throughput %g", c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Throughput)
+		}
+		// The full-iteration peak proves infeasibility: above the 95%
+		// margin of TACC's 40 GB devices (weights included).
+		if c.PeakGB <= 40*memMargin {
+			t.Errorf("%s P=%d D=%d: OOM PeakGB %.1f does not exceed the 38 GB budget",
+				c.Plan.Scheme, c.Plan.P, c.Plan.D, c.PeakGB)
 		}
 	}
 	if oomSeen == 0 {
-		t.Fatal("pruned sweep dropped its OOM cells from the ranking")
-	}
-}
-
-// TestPruneMatchesUnprunedRanking asserts pruning is output-invariant
-// where it must be: same candidate order, same OOM verdicts, identical
-// throughput and PeakGB for every feasible cell (OOM cells may report the
-// early-exit lower bound instead of the full-iteration peak).
-func TestPruneMatchesUnprunedRanking(t *testing.T) {
-	cl := cluster.TACC(32)
-	model := nn.BERTStyle()
-	unpruned := AutoTune(cl, model, fig10Space(4, false))
-	pruned := AutoTune(cl, model, fig10Space(4, true))
-	if len(unpruned) != len(pruned) {
-		t.Fatalf("candidate counts differ: %d unpruned, %d pruned", len(unpruned), len(pruned))
-	}
-	for i := range unpruned {
-		u, p := unpruned[i], pruned[i]
-		if u.Plan.Scheme != p.Plan.Scheme || u.Plan.P != p.Plan.P || u.Plan.D != p.Plan.D {
-			t.Fatalf("rank %d: %s P=%d D=%d vs %s P=%d D=%d",
-				i, u.Plan.Scheme, u.Plan.P, u.Plan.D, p.Plan.Scheme, p.Plan.P, p.Plan.D)
-		}
-		if u.OOM != p.OOM || u.Throughput != p.Throughput {
-			t.Fatalf("rank %d (%s): unpruned (OOM=%v, %g) vs pruned (OOM=%v, %g)",
-				i, u.Plan.Scheme, u.OOM, u.Throughput, p.OOM, p.Throughput)
-		}
-		if !u.OOM && u.PeakGB != p.PeakGB {
-			t.Fatalf("rank %d (%s): feasible PeakGB %g != %g", i, u.Plan.Scheme, u.PeakGB, p.PeakGB)
-		}
-		if u.OOM && p.PeakGB > u.PeakGB {
-			t.Fatalf("rank %d (%s): early-exit peak %g exceeds the full peak %g",
-				i, u.Plan.Scheme, p.PeakGB, u.PeakGB)
-		}
+		t.Fatal("sweep dropped its OOM cells from the ranking")
 	}
 }
 
@@ -143,7 +106,7 @@ func candidatesEqual(t *testing.T, label string, got, want []Candidate) {
 func TestTunerMatchesAutoTuneAndCachesRepeats(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
-	space := fig10Space(4, false)
+	space := fig10Space(4)
 	want := AutoTune(cl, model, space)
 
 	tn := NewTuner(TunerOptions{Runners: 4})
@@ -265,22 +228,5 @@ func TestTunerDisabledCache(t *testing.T) {
 	candidatesEqual(t, "cacheless sweep", tn.AutoTune(cl, model, space), AutoTune(cl, model, space))
 	if tn.CacheLen() != 0 {
 		t.Fatal("disabled cache must stay empty")
-	}
-}
-
-// TestTunerPrunedSweeps runs the OOM-heavy space through the service with
-// pruning on, twice: the second pass must be all cache hits and both must
-// match the standalone pruned sweep.
-func TestTunerPrunedSweeps(t *testing.T) {
-	cl := cluster.TACC(32)
-	model := nn.BERTStyle()
-	space := fig10Space(4, true)
-	want := AutoTune(cl, model, space)
-	tn := NewTuner(TunerOptions{Runners: 4})
-	candidatesEqual(t, "pruned served sweep", tn.AutoTune(cl, model, space), want)
-	before := simRuns.Load()
-	candidatesEqual(t, "pruned repeat", tn.AutoTune(cl, model, space), want)
-	if got := simRuns.Load() - before; got != 0 {
-		t.Fatalf("repeated pruned sweep issued %d simulations, want 0", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 func TestZBH1SweepsAndCaches(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
-	space := fig10Space(2, false)
+	space := fig10Space(2)
 	space.Schemes = append(DefaultSchemes(), "zbh1")
 
 	remote := cachewire.NewLoopback(0)
@@ -48,7 +48,7 @@ func TestZBH1SweepsAndCaches(t *testing.T) {
 	fp := cl.Fingerprint()
 	zplan := Plan{Scheme: "zbh1", Cluster: cl, Model: model,
 		P: space.PD[0][0], D: space.PD[0][1], B: space.B, MicroRows: space.MicroRows}
-	we, ok, err := remote.Get(keyFor(zplan, space.Prune, fp).hash())
+	we, ok, err := remote.Get(keyFor(zplan, fp).hash())
 	if err != nil || !ok {
 		t.Fatalf("zbh1 evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
 	}
@@ -57,7 +57,7 @@ func TestZBH1SweepsAndCaches(t *testing.T) {
 	}
 	dplan := zplan
 	dplan.Scheme = "dapple"
-	we, ok, err = remote.Get(keyFor(dplan, space.Prune, fp).hash())
+	we, ok, err = remote.Get(keyFor(dplan, fp).hash())
 	if err != nil || !ok {
 		t.Fatalf("dapple evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
 	}

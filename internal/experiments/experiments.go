@@ -28,13 +28,6 @@ var registry = map[string]Experiment{}
 // cmd/hanayo-bench threads its -workers flag here.
 var AutoTuneWorkers int
 
-// AutoTunePrune routes the fig10 search through the memtrace-first OOM
-// front end (SearchSpace.Prune): infeasible cells skip the timing
-// simulation entirely. cmd/hanayo-bench threads its -prune flag here.
-// OOM rows then report the early-exit peak (a lower bound that proves
-// infeasibility) instead of the full-iteration peak.
-var AutoTunePrune bool
-
 // AutoTuneTopK, when positive, runs the fig10 search as a bound-and-prune
 // branch-and-bound (SearchSpace.TopK): the first TopK ranks stay exact
 // while provably losing cells skip or abort their simulation, reporting

@@ -170,7 +170,6 @@ func fig10(w io.Writer) error {
 		B:         16,
 		MicroRows: 2, // batch sized to press against the 40 GB limit (§5.3)
 		Workers:   AutoTuneWorkers,
-		Prune:     AutoTunePrune,
 		TopK:      AutoTuneTopK,
 		Faults:    Faults,
 	})

@@ -144,16 +144,9 @@ func StageActBytes(sc *sched.Schedule, cfg nn.Config, rows int) float64 {
 	return float64(cfg.Layers) / float64(sc.S) * LayerActBytes(cfg, rows)
 }
 
-// Weights returns the per-device weight/gradient/optimizer-state bytes of
-// one schedule — the activation-independent slice of the estimate, fixed
-// by the placement before any execution. Subtracting it from device
-// capacity yields the live-activation budget a memtrace replay can check
-// against without a timing model (the AutoTune OOM-pruning front end).
-func Weights(sc *sched.Schedule, cfg nn.Config) []float64 {
-	return WeightsOpts(sc, cfg, Options{})
-}
-
-// WeightsOpts is Weights with explicit Options.
+// WeightsOpts returns the per-device weight/gradient/optimizer-state
+// bytes of one schedule under opt — the activation-independent slice of
+// the estimate, fixed by the placement before any execution.
 func WeightsOpts(sc *sched.Schedule, cfg nn.Config, opt Options) []float64 {
 	p := sc.P
 	layersPerStage := float64(cfg.Layers) / float64(sc.S)

@@ -17,7 +17,6 @@
 package memtrace
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/exec"
@@ -47,12 +46,6 @@ type Result struct {
 	Curves [][]Sample
 }
 
-// errBudget is the internal sentinel a budgeted replay's Compute hook
-// returns the moment a device's live-byte curve exceeds its budget; the
-// cooperative driver aborts the walk and RunBudget translates it into the
-// exceeded verdict — the memtrace-first OOM early exit.
-var errBudget = errors.New("memtrace: budget exceeded")
-
 // backend implements exec.Backend over allocation counters only. Comm ops
 // complete instantly (the replay measures residency, not waiting), so the
 // cooperative driver never blocks and every schedule that validates
@@ -60,9 +53,6 @@ var errBudget = errors.New("memtrace: budget exceeded")
 type backend struct {
 	s        *sched.Schedule
 	stageAct float64 // activation bytes one stage holds per micro-batch
-	// budget, when non-nil, is the per-device live-activation-byte ceiling:
-	// the first forward that pushes a device past it aborts the replay.
-	budget []float64
 
 	ops   []int // per device: compute ops retired
 	live  []int // per device: live stage-activations
@@ -95,11 +85,6 @@ func (b *backend) Compute(d int, a sched.Action) (start, end float64, err error)
 	b.res.Curves[d] = append(b.res.Curves[d], Sample{Op: b.ops[d], Bytes: b.bytes[d]})
 	start = float64(b.ops[d])
 	b.ops[d]++
-	if a.Kind == sched.OpForward && b.budget != nil && b.bytes[d] > b.budget[d] {
-		// Abort after recording the violating forward, so the partial
-		// curve includes (and ends at) the over-budget sample.
-		return start, start + 1, errBudget
-	}
 	return start, start + 1, nil
 }
 
@@ -114,8 +99,8 @@ func (b *backend) Step(d int, a sched.Action) error                   { return n
 // Replayer is the reusable form of Run: it owns the replay counters, the
 // Result's curve storage and the interpreter's timeline arenas, growing
 // them monotonically to the largest schedule shape seen, so repeated
-// replays (the AutoTune OOM-pruning front end, calibration loops) run at
-// ~0 allocations in steady state.
+// replays (memory profiling and calibration loops) run at ~0 allocations
+// in steady state.
 //
 // The zero value is ready to use. A Replayer is NOT safe for concurrent
 // use, and the *Result it returns is owned by the Replayer: it is valid
@@ -134,28 +119,8 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // reusing the Replayer's arenas. The returned Result is valid only until
 // the next replay.
 func (r *Replayer) Run(s *sched.Schedule, cfg nn.Config, rows int) (*Result, error) {
-	res, _, err := r.replay(s, cfg, rows, nil)
-	return res, err
-}
-
-// RunBudget is Run with an early exit: budget[d] is device d's live
-// activation-byte ceiling (capacity minus its schedule-static weight and
-// optimizer bytes), and the replay aborts the moment any device's
-// live-byte curve exceeds it — the memory-feasibility check in front of
-// the timing model, at a fraction of a simulation's cost. exceeded=true
-// means the schedule cannot fit; the partial Result then holds the curves
-// and peaks observed up to (and including) the violating forward, so the
-// reported peak is a lower bound that already proves infeasibility.
-func (r *Replayer) RunBudget(s *sched.Schedule, cfg nn.Config, rows int, budget []float64) (res *Result, exceeded bool, err error) {
-	if len(budget) < s.P {
-		return nil, false, fmt.Errorf("memtrace: budget covers %d devices, schedule has %d", len(budget), s.P)
-	}
-	return r.replay(s, cfg, rows, budget)
-}
-
-func (r *Replayer) replay(s *sched.Schedule, cfg nn.Config, rows int, budget []float64) (*Result, bool, error) {
 	if rows <= 0 {
-		return nil, false, fmt.Errorf("memtrace: rows must be positive, got %d", rows)
+		return nil, fmt.Errorf("memtrace: rows must be positive, got %d", rows)
 	}
 	p := s.P
 	res := &r.res
@@ -183,18 +148,14 @@ func (r *Replayer) replay(s *sched.Schedule, cfg nn.Config, rows int, budget []f
 	be := &r.be
 	be.s = s
 	be.stageAct = layersPerStage * memmodel.LayerActBytes(cfg, rows)
-	be.budget = budget
 	be.ops = exec.Arena(be.ops, p)
 	be.live = exec.Arena(be.live, p)
 	be.bytes = exec.Arena(be.bytes, p)
 	be.res = res
 	if _, err := r.loop.Run(s, be, exec.DefaultOptions()); err != nil {
-		if errors.Is(err, errBudget) {
-			return res, true, nil
-		}
-		return nil, false, fmt.Errorf("memtrace: %w", err)
+		return nil, fmt.Errorf("memtrace: %w", err)
 	}
-	return res, false, nil
+	return res, nil
 }
 
 // Run replays schedule s for model cfg at rows sequences per micro-batch

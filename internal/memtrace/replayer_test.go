@@ -75,110 +75,10 @@ func TestReplayerAllocsZero(t *testing.T) {
 	}
 }
 
-// TestRunBudgetEarlyExit drives the OOM front end: a generous budget
-// replays to completion; a budget below the known peak aborts early with
-// exceeded=true, a strictly shorter curve, and an observed peak that
-// already proves the violation.
-func TestRunBudgetEarlyExit(t *testing.T) {
-	cfg := nn.BERTStyle()
-	s, err := sched.GPipe(4, 8) // GPipe piles up all B activations: easy to violate
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(s, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := 0.0
-	fullSamples := 0
-	for d := range full.PeakBytes {
-		peak = math.Max(peak, full.PeakBytes[d])
-		fullSamples += len(full.Curves[d])
-	}
-
-	r := NewReplayer()
-	loose := make([]float64, s.P)
-	for d := range loose {
-		loose[d] = peak * 2
-	}
-	res, exceeded, err := r.RunBudget(s, cfg, 2, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exceeded {
-		t.Fatal("a budget above the peak must not trip the early exit")
-	}
-	for d := range full.PeakBytes {
-		if res.PeakBytes[d] != full.PeakBytes[d] {
-			t.Fatalf("device %d: budgeted peak %g != unbudgeted %g", d, res.PeakBytes[d], full.PeakBytes[d])
-		}
-	}
-
-	tight := make([]float64, s.P)
-	for d := range tight {
-		tight[d] = peak / 2
-	}
-	res, exceeded, err = r.RunBudget(s, cfg, 2, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exceeded {
-		t.Fatal("a budget at half the peak must trip the early exit")
-	}
-	violated := false
-	curveShowsViolation := false
-	partialSamples := 0
-	for d := range res.PeakBytes {
-		partialSamples += len(res.Curves[d])
-		if res.PeakBytes[d] > tight[d] {
-			violated = true
-			// The documented contract: the partial curve includes the
-			// violating forward's over-budget sample.
-			for _, smp := range res.Curves[d] {
-				if smp.Bytes > tight[d] {
-					curveShowsViolation = true
-				}
-			}
-		}
-	}
-	if !violated {
-		t.Fatal("the partial result must show the violating device above its budget")
-	}
-	if !curveShowsViolation {
-		t.Fatal("the violating device's curve must include the over-budget sample")
-	}
-	if partialSamples >= fullSamples {
-		t.Fatalf("early exit replayed %d samples, full replay has %d — nothing was skipped",
-			partialSamples, fullSamples)
-	}
-
-	// The Replayer stays usable after an aborted replay.
-	again, err := r.Run(s, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := range full.PeakBytes {
-		if again.PeakBytes[d] != full.PeakBytes[d] {
-			t.Fatalf("post-abort replay diverges on device %d: %g != %g",
-				d, again.PeakBytes[d], full.PeakBytes[d])
-		}
-	}
-}
-
-// TestRunBudgetValidation covers the short-budget error path.
-func TestRunBudgetValidation(t *testing.T) {
-	s, err := sched.DAPPLE(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := NewReplayer().RunBudget(s, nn.BERTStyle(), 2, make([]float64, 2)); err == nil {
-		t.Fatal("a budget shorter than P must be rejected")
-	}
-}
-
 // TestBudgetMatchesMemmodelUnits asserts the replay's byte unit is exactly
-// memmodel.StageActBytes — the invariant that lets AutoTune derive budgets
-// from capacity minus memmodel.Weights.
+// memmodel.StageActBytes: every device's PeakBytes is its PeakActs times
+// the stage-activation bytes, so the replay and the memory estimate count
+// in the same unit.
 func TestBudgetMatchesMemmodelUnits(t *testing.T) {
 	cfg := nn.BERTStyle()
 	s, err := sched.Hanayo(4, 2, 4)

@@ -522,11 +522,10 @@ func (r *Runner) RunFaultsDeadline(s *sched.Schedule, cost Cost, opt Options, pl
 	return r.run(s, cost, opt, cap, plan)
 }
 
-// RunDeadline is the timing twin of memtrace.Replayer.RunBudget: it
-// executes the schedule like Run but aborts the cooperative walk the
-// moment any device's virtual clock strictly exceeds cap seconds. It
-// returns (result, exceeded, err); when exceeded is true the result is
-// partial — its Makespan is the clock high-water mark at abort, a proven
+// RunDeadline executes the schedule like Run but aborts the cooperative
+// walk the moment any device's virtual clock strictly exceeds cap
+// seconds. It returns (result, exceeded, err); when exceeded is true the
+// result is partial — its Makespan is the clock high-water mark at abort, a proven
 // lower bound on the full run's makespan (device clocks only move
 // forward) — and its Records/Zones cover only the executed prefix. A run
 // finishing exactly at cap completes normally, so a throughput tie with a
