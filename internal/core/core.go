@@ -42,77 +42,82 @@ type Plan struct {
 	// (devices 0..P-1); evaluations stay D-invariant because every replica
 	// of a sweep shares the same plan.
 	Faults *sim.FaultPlan
-
-	// cache memoizes generated+validated schedules AND full single-pass
-	// evaluations across plans that share (Scheme, P, B) — identical
-	// action lists are built once and simulated once per AutoTune sweep
-	// instead of once per candidate. Nil (the zero value) means no
-	// memoization; AutoTune installs one per sweep.
-	cache *sweepCache
 }
 
 // schedKey identifies one action-list program: schedules depend only on
 // the scheme and the (P, B) shape, not on cluster, model or D. The same
-// key indexes cached evaluations, which is sound only because cluster,
-// model and MicroRows are constant across one sweep and the per-replica
-// simulation is D-invariant (replicas are identical and concurrent; only
-// the final throughput scales by D, which Evaluate applies per plan).
+// key indexes a sweep's memoized evaluations, which is sound only because
+// cluster, model and MicroRows are constant across one sweep and the
+// per-replica simulation is D-invariant (replicas are identical and
+// concurrent; only the final throughput scales by D, applied per cell).
 type schedKey struct {
 	scheme string
 	p, b   int
 }
 
-// sweepCache memoizes schedule generation/validation and default-options
-// plan evaluations. Entries are built exactly once (sync.Once) even under
-// the parallel sweep; the cached *sched.Schedule and *evalShared are
-// shared read-only by every worker.
-type sweepCache struct {
-	mu    sync.Mutex
-	sched map[schedKey]*schedEntry
-	eval  map[schedKey]*evalEntry
-	// full is the branch-and-bound sweep's result memo (TopK > 0): only
-	// COMPLETE evaluations — full simulations and deterministic errors —
-	// all of them D-invariant. Deadline-aborted results never enter (their
-	// abort cap depends on the observing cell's D and the cutoff at
-	// evaluation time, so they are not reusable facts about the key). Unlike eval there is no per-key Once: racing workers
-	// may duplicate a bounded measurement, which only over-evaluates.
-	full map[schedKey]*fullEntry
+// sweepMemo is one sweep's result memo: a complete evaluation per
+// (scheme, P, B) key, shared by every cell of that key (cells differ only
+// in D). Only complete results land — full simulations and deterministic
+// errors. A deadline-aborted result depends on the observing cell's D and
+// the cutoff at evaluation time, so it is not a fact about the key.
+type sweepMemo struct {
+	mu   sync.Mutex
+	keys map[schedKey]*memoEntry
 	// sims counts the simulations issued for this sweep — the per-sweep
 	// twin of the process-wide simRuns, so concurrent sweeps never
 	// inflate each other's count.
 	sims atomic.Int64
 }
 
-type fullEntry struct {
-	e   *evalShared
+// memoEntry is one key's slot: res stays nil until a complete evaluation
+// lands, and never changes after.
+type memoEntry struct {
+	once sync.Once
+	res  atomic.Pointer[memoResult]
+}
+
+type memoResult struct {
+	es  *evalShared
 	err error
 }
 
-// peekFull returns the memoized complete evaluation of k, if any.
-func (c *sweepCache) peekFull(k schedKey) (*evalShared, error, bool) {
-	c.mu.Lock()
-	f, ok := c.full[k]
-	c.mu.Unlock()
+func newSweepMemo(cells int) *sweepMemo {
+	return &sweepMemo{keys: make(map[schedKey]*memoEntry, cells)}
+}
+
+// entry returns k's slot, creating it on first use.
+func (m *sweepMemo) entry(k schedKey) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.keys[k]
 	if !ok {
-		return nil, nil, false
+		e = &memoEntry{}
+		m.keys[k] = e
 	}
-	return f.e, f.err, true
+	return e
 }
 
-// publishFull memoizes a complete evaluation (or its deterministic
-// error); the caller must never pass a deadline-aborted result.
-func (c *sweepCache) publishFull(k schedKey, e *evalShared, err error) {
-	c.mu.Lock()
-	if _, ok := c.full[k]; !ok {
-		c.full[k] = &fullEntry{e: e, err: err}
+// resolve returns the slot's result, measuring it through run. An
+// uncapped run (deadline == 0) happens at most once per key, and not at
+// all once a complete result has landed. A capped run is not
+// deduplicated — racing capped cells may both measure, which only
+// over-evaluates — and lands only if it completed.
+func (e *memoEntry) resolve(deadline float64, run func(deadline float64) (*evalShared, error)) *memoResult {
+	if deadline > 0 {
+		es, err := run(deadline)
+		r := &memoResult{es, err}
+		if err != nil || !es.boundOnly {
+			e.res.CompareAndSwap(nil, r)
+		}
+		return r
 	}
-	c.mu.Unlock()
-}
-
-type schedEntry struct {
-	once sync.Once
-	s    *sched.Schedule
-	err  error
+	e.once.Do(func() {
+		if e.res.Load() == nil {
+			es, err := run(0)
+			e.res.CompareAndSwap(nil, &memoResult{es, err})
+		}
+	})
+	return e.res.Load()
 }
 
 // memMargin is the fraction of device HBM an evaluation may claim — the
@@ -159,66 +164,6 @@ type evalShared struct {
 // evaluations for the cache tiers' SplitBW flag.
 func splitBackwardScheme(scheme string) bool { return scheme == "zbh1" }
 
-type evalEntry struct {
-	once sync.Once
-	e    *evalShared
-	err  error
-}
-
-func newSweepCache() *sweepCache {
-	return &sweepCache{sched: map[schedKey]*schedEntry{}, eval: map[schedKey]*evalEntry{},
-		full: map[schedKey]*fullEntry{}}
-}
-
-// get memoizes one schedule per key; g is the calling worker's reusable
-// Generator (nil on generator-less paths) — whichever caller wins the
-// per-key Once builds with its own Generator, so concurrent workers never
-// share one.
-func (c *sweepCache) get(g *sched.Generator, scheme string, p, b int) (*sched.Schedule, error) {
-	k := schedKey{scheme, p, b}
-	c.mu.Lock()
-	e, ok := c.sched[k]
-	if !ok {
-		e = &schedEntry{}
-		c.sched[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.s, e.err = buildSchedule(g, scheme, p, b) })
-	return e.s, e.err
-}
-
-// evalFor memoizes the D-invariant evaluation of one (scheme, P, B) key;
-// build runs at most once per sweep even under the parallel pool.
-func (c *sweepCache) evalFor(k schedKey, build func() (*evalShared, error)) (*evalShared, error) {
-	c.mu.Lock()
-	e, ok := c.eval[k]
-	if !ok {
-		e = &evalEntry{}
-		c.eval[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.e, e.err = build() })
-	return e.e, e.err
-}
-
-// buildSchedule generates one validated schedule. Generation fuses
-// validation (sched.Generate/ByName output arrives proven executable), so
-// no separate sched.Validate pass runs. A non-nil g reuses the worker's
-// Generator arenas; its owned result is detached with Clone so retaining
-// it (the sweep cache, callers of Plan.Schedule) survives the Generator's
-// next run. g == nil drives a fresh single-use Generator via ByName, whose
-// output needs no copy.
-func buildSchedule(g *sched.Generator, scheme string, p, b int) (*sched.Schedule, error) {
-	if g == nil {
-		return sched.ByName(scheme, p, b)
-	}
-	s, err := g.Generate(scheme, p, b)
-	if err != nil {
-		return nil, err
-	}
-	return s.Clone(), nil
-}
-
 // Validate checks structural consistency against the cluster.
 func (p Plan) Validate() error {
 	if p.Cluster == nil {
@@ -236,23 +181,14 @@ func (p Plan) Validate() error {
 	return p.Model.Validate()
 }
 
-// Schedule generates and validates the action lists for one replica
-// (memoized when the plan carries an AutoTune sweep cache).
+// Schedule validates the plan and generates the action lists for one
+// replica. Generation fuses validation (sched.ByName output arrives
+// proven executable), so no separate sched.Validate pass runs.
 func (p Plan) Schedule() (*sched.Schedule, error) {
-	return p.scheduleWith(nil)
-}
-
-// scheduleWith is Schedule with an optional per-worker Generator: the
-// sweep stack passes its evaluator's Generator so steady-state generation
-// reuses warmed arenas instead of allocating a compiler per schedule.
-func (p Plan) scheduleWith(g *sched.Generator) (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.cache != nil {
-		return p.cache.get(g, p.Scheme, p.P, p.B)
-	}
-	return buildSchedule(g, p.Scheme, p.P, p.B)
+	return sched.ByName(p.Scheme, p.P, p.B)
 }
 
 // Simulate runs the discrete-event executor with the cluster cost model and
@@ -311,41 +247,20 @@ type EvalOptions struct {
 // Evaluate measures the plan with the paper-faithful executor options:
 // one simulation produces the memory estimate, the feasibility verdict
 // and the throughput together. Memory, Fits and Throughput are thin views
-// over this. Under an AutoTune sweep the result is cached per
-// (Scheme, P, B) and shared by all candidates that differ only in D.
+// over this.
 func (p Plan) Evaluate() (*Eval, error) {
 	return p.EvaluateOpts(EvalOptions{Sim: sim.DefaultOptions()})
 }
 
-// EvaluateOpts is Evaluate with explicit options. Only the default
-// configuration is served from the sweep cache; ablation options always
-// evaluate fresh.
+// EvaluateOpts is Evaluate with explicit options. The replica's
+// D-invariant evaluation is scaled to the plan's D replicas.
 func (p Plan) EvaluateOpts(opt EvalOptions) (*Eval, error) {
-	if p.cache != nil && !opt.AnalyticOnly && opt.Sim == sim.DefaultOptions() {
-		shared, err := p.cache.evalFor(schedKey{p.Scheme, p.P, p.B}, func() (*evalShared, error) {
-			return p.evaluateShared(opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p.evalView(shared), nil
-	}
-	shared, err := p.evaluateShared(opt)
+	s, err := p.evaluateShared(opt)
 	if err != nil {
 		return nil, err
 	}
-	return p.evalView(shared), nil
-}
-
-// evalView scales the D-invariant shared evaluation to this plan.
-func (p Plan) evalView(s *evalShared) *Eval {
-	return &Eval{
-		Sim:        s.sim,
-		MemTrace:   s.mt,
-		Memory:     s.mem,
-		Fits:       s.fits,
-		Throughput: s.perReplica * float64(p.D),
-	}
+	return &Eval{Sim: s.sim, MemTrace: s.mt, Memory: s.mem, Fits: s.fits,
+		Throughput: s.perReplica * float64(p.D)}, nil
 }
 
 // evaluateShared performs the actual single-pass measurement of one
@@ -366,7 +281,7 @@ func (p Plan) evaluateShared(opt EvalOptions) (*evalShared, error) {
 			fits:    memmodel.FitsCluster(mem, p.Cluster, memMargin),
 			splitBW: splitBackwardScheme(p.Scheme)}, nil
 	}
-	return p.simEvaluate(s, opt.Sim, nil, 0)
+	return p.simEvaluate(s, opt.Sim, nil, 0, nil)
 }
 
 // simEvaluate is the one implementation of the timed-evaluation recipe:
@@ -380,15 +295,16 @@ func (p Plan) evaluateShared(opt EvalOptions) (*evalShared, error) {
 // requires a runner — the bound-and-prune sweep path) caps the virtual
 // clock: an aborted run returns a boundOnly evalShared whose perReplica
 // is the proven per-replica throughput upper bound, counting toward
-// SimRuns like any simulation it actually started.
-func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, runner *sim.Runner, deadline float64) (*evalShared, error) {
+// SimRuns like any simulation it actually started. sweepSims, when
+// non-nil, is the calling sweep's own simulation counter.
+func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, runner *sim.Runner, deadline float64, sweepSims *atomic.Int64) (*evalShared, error) {
 	cost, err := costmodel.New(costmodel.Workload{Model: p.Model, MicroRows: p.MicroRows}, p.Cluster, s)
 	if err != nil {
 		return nil, err
 	}
 	simRuns.Add(1)
-	if p.cache != nil {
-		p.cache.sims.Add(1)
+	if sweepSims != nil {
+		sweepSims.Add(1)
 	}
 	var r *sim.Result
 	if deadline > 0 && runner != nil {
@@ -528,11 +444,9 @@ type SearchSpace struct {
 	Schemes []string // nil → GPipe, DAPPLE, Chimera-wave (Hanayo is always swept)
 	// PD lists the (P, D) combinations; nil → power-of-two divisor pairs
 	// of N. Evaluations are shared per (scheme, P, B) key — the
-	// per-replica makespan is D-independent — so a grid listing the same
-	// P under several D values must keep them equally valid (all with
-	// P·D ≤ N, or none): mixing a feasible and an infeasible D for one P
-	// lets whichever cell reaches the key first decide both verdicts,
-	// which is order- and worker-count-dependent.
+	// per-replica makespan is D-independent — but each cell's plan is
+	// validated on its own first, so a pair with P·D > N reports its
+	// device-count error without touching its same-P siblings.
 	PD        [][2]int
 	Waves     []int // wave counts tried for Hanayo; nil → 1,2,4,8
 	B         int   // micro-batches per replica
@@ -642,8 +556,8 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 // sched.Generator for schedule compilation and a sim.Runner for timed
 // evaluation. Reused across every key a worker measures — and, inside a
 // Tuner, across sweeps — so the steady-state evaluation pipeline
-// allocates only per-key outputs (retained schedules, estimates), never
-// per-run generator or executor state.
+// allocates only per-key outputs (estimates), never per-run generator or
+// executor state.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
@@ -653,13 +567,76 @@ func newEvaluator() *evaluator {
 	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner()}
 }
 
-// evalSchedule measures one (scheme, P, B) key with one timed simulation
-// on this evaluator's reusable runner; that simulation also yields the
-// memory verdict, so OOM cells cost what feasible ones do. deadline > 0
-// caps the simulation's virtual clock (the bound-and-prune sweep's
-// measurement path).
-func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, deadline float64) (*evalShared, error) {
-	return plan.simEvaluate(s, sim.DefaultOptions(), ev.runner, deadline)
+// measure compiles one (scheme, P, B) key on this evaluator's Generator
+// and decides it with one timed simulation of the Generator-owned
+// schedule on the reusable runner; that simulation also yields the memory
+// verdict, so OOM cells cost what feasible ones do. Nothing the result
+// keeps points into the schedule, so it needs no copy: the next Generate
+// may reuse its storage. deadline > 0 caps the simulation's virtual clock
+// (the bound-and-prune sweep's measurement path). sims is the sweep's
+// simulation counter.
+func (ev *evaluator) measure(plan Plan, deadline float64, sims *atomic.Int64) (*evalShared, error) {
+	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
+	if err != nil {
+		return nil, err
+	}
+	return plan.simEvaluate(s, sim.DefaultOptions(), ev.runner, deadline, sims)
+}
+
+// sweepState is what the workers of one sweep share: the serving Tuner
+// (nil on standalone sweeps), its batched remote window (nil without a
+// remote tier), the per-sweep memo and the branch-and-bound cutoff (nil
+// on exhaustive sweeps, which then skip nothing and set no deadline).
+type sweepState struct {
+	t    *Tuner
+	sr   *sweepRemote
+	memo *sweepMemo
+	cut  *cutoffState
+}
+
+// cell decides one grid cell — the one path every cell of every sweep
+// takes: validate the plan, serve the key's memoized complete result, or
+// skip a cell whose analytic bound strictly loses to the cutoff, or
+// measure under the cutoff-derived virtual-clock cap — feeding every
+// complete row value back into the cutoff. Validation comes first because
+// the memo key carries no D: a sibling cell's result must never stand in
+// for a plan that does not fit the cluster. The cutoff is read once per
+// cell; it can only have risen by evaluation time, so a stale read merely
+// over-evaluates.
+func (sw *sweepState) cell(tk *sweepTask, own *evaluator) Candidate {
+	plan := tk.plan
+	if err := plan.Validate(); err != nil {
+		return Candidate{Plan: plan, Err: err}
+	}
+	e := sw.memo.entry(schedKey{plan.Scheme, plan.P, plan.B})
+	r := e.res.Load()
+	if r == nil {
+		co := sw.cut.cutoff()
+		if co > 0 && tk.ub < co {
+			// Provably below at least TopK fully evaluated rows — strictly,
+			// so a tie with the cutoff still evaluates and tie order
+			// survives.
+			sw.cut.pruned.Add(1)
+			return Candidate{Plan: plan, BoundPruned: true, Bound: tk.ub}
+		}
+		var deadline float64
+		if co > 0 {
+			// A run whose per-replica makespan passes this cap scores
+			// total throughput strictly under the cutoff; RunDeadline's
+			// abort is strict too, so a run landing exactly on the cap
+			// completes.
+			deadline = float64(plan.D*plan.B*plan.MicroRows) / co
+		}
+		r = e.resolve(deadline, func(deadline float64) (*evalShared, error) {
+			return sw.evalKey(tk, own, deadline)
+		})
+	}
+	c := candidateFrom(plan, r.es, r.err)
+	if c.BoundPruned {
+		sw.cut.pruned.Add(1)
+	}
+	sw.cut.observe(tk.slot, c.Throughput)
+	return c
 }
 
 // evalKey resolves one key through the cross-sweep cache (when serving
@@ -667,14 +644,12 @@ func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, deadline float64
 // future sweeps. own is the worker's private evaluator on standalone
 // sweeps and nil under a Tuner, where a pooled evaluator is checked out
 // only after every cache tier and the in-flight table miss — cache hits,
-// flight followers and workers waiting on another builder's per-sweep
-// Once never pin a pool slot. gk/hk are the task's cross-sweep key and
-// its digest, computed exactly once per cell at grid layout (meaningful
-// only under a Tuner) — one digest routes both cache tiers and the wire.
-// sr is the sweep's batched remote window (nil without a remote tier):
-// the sweep-start MultiGet has already probed every key of this grid, so
-// a miss needs no remote probe, and fresh results queue for the
-// end-of-sweep flush.
+// flight followers and workers waiting on another builder's per-key
+// Once never pin a pool slot. The task's cross-sweep key and its digest
+// were computed once at grid layout; one digest routes both cache tiers
+// and the wire. With a remote tier, the sweep-start MultiGet has already
+// probed every key of this grid, so a miss needs no remote probe, and
+// fresh results queue for the end-of-sweep flush.
 //
 // deadline > 0 caps the simulation (the branch-and-bound path). Every
 // cache entry is a complete evaluation, so a hit is exact either way,
@@ -685,19 +660,16 @@ func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, deadline float64
 // may therefore duplicate a measurement, which only over-evaluates —
 // complete results are deterministic, so whichever publication lands is
 // the same entry.
-func evalKey(plan Plan, own *evaluator, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
+func (sw *sweepState) evalKey(tk *sweepTask, own *evaluator, deadline float64) (*evalShared, error) {
+	t, gk, hk := sw.t, tk.gk, tk.hk
 	if t == nil {
-		s, err := plan.scheduleWith(own.gen)
-		if err != nil {
-			return nil, err
-		}
-		return own.evalSchedule(s, plan, deadline)
+		return own.measure(tk.plan, deadline, &sw.memo.sims)
 	}
 	if ent, ok := t.cache.get(gk, hk); ok {
 		return ent.toShared(), nil
 	}
-	if sr != nil {
-		if ent, ok := sr.hits[hk]; ok {
+	if sw.sr != nil {
+		if ent, ok := sw.sr.hits[hk]; ok {
 			// Prefetched at sweep start (or pinned from a local hit that
 			// the LRU has since evicted): reseed the cache and serve.
 			t.cache.put(gk, hk, ent)
@@ -705,7 +677,7 @@ func evalKey(plan Plan, own *evaluator, t *Tuner, gk tunerKey, hk uint64, sr *sw
 		}
 	}
 	if deadline > 0 {
-		return t.measure(plan, gk, hk, sr, deadline)
+		return sw.measure(tk, deadline)
 	}
 	f, leader := t.join(gk)
 	if !leader {
@@ -725,7 +697,7 @@ func evalKey(plan Plan, own *evaluator, t *Tuner, gk tunerKey, hk uint64, sr *sw
 		f.ent = ent
 		return ent.toShared(), nil
 	}
-	es, err := t.measure(plan, gk, hk, sr, 0)
+	es, err := sw.measure(tk, 0)
 	if err != nil {
 		f.err = err
 		return nil, err
@@ -762,18 +734,22 @@ func newCutoffState(k, slots int) *cutoffState {
 
 // cutoff is the current proven floor on the Kth-best row value — one
 // atomic load on the worker hot path. 0 disables pruning (fewer than k
-// rows have fully evaluated members yet, or the grid has fewer than k
-// rows at all).
+// rows have fully evaluated members yet, the grid has fewer than k rows
+// at all, or c is nil: an exhaustive sweep).
 func (c *cutoffState) cutoff() float64 {
+	if c == nil {
+		return 0
+	}
 	return math.Float64frombits(c.bits.Load())
 }
 
 // observe folds one fully evaluated cell value into its output row and
 // republishes the Kth-largest row value. Non-positive values (OOM,
 // error and empty cells) are no-ops — unevaluated rows hold 0, which
-// keeps the cutoff at 0 until at least k rows carry real values.
+// keeps the cutoff at 0 until at least k rows carry real values. A nil
+// c (an exhaustive sweep) ignores every value.
 func (c *cutoffState) observe(slot int, thr float64) {
-	if thr <= 0 {
+	if c == nil || thr <= 0 {
 		return
 	}
 	c.mu.Lock()
@@ -803,9 +779,9 @@ func (c *cutoffState) observe(slot int, thr float64) {
 // AutoTune sweeps the search space and returns all candidates sorted by
 // throughput (best first). OOM candidates sort last — they appear in Fig 10
 // as blank cells. Candidates are measured by a bounded worker pool of
-// space.Workers goroutines sharing one schedule cache, so identical action
-// lists are generated and validated once per sweep; the ranking is
-// independent of the worker count. Each worker owns a reusable
+// space.Workers goroutines sharing one per-sweep memo, so cells that
+// differ only in D share one evaluation; the ranking is independent of
+// the worker count. Each worker owns a reusable
 // sched.Generator/sim.Runner pair, and each unique key is decided by its
 // one simulation, which yields the throughput and the memory verdict.
 // space.TopK > 0 trades the exhaustive tail for speed: the first TopK
@@ -870,7 +846,6 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 		unit++
 		return own
 	}
-	cache := newSweepCache()
 	var tasks []sweepTask
 	slots := 0 // output rows owned by this shard (== grid units owned)
 	layout := func(plan Plan, pd int, wave bool) {
@@ -891,7 +866,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	}
 	for pi, pd := range space.PD {
 		base := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],
-			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults, cache: cache}
+			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults}
 		for _, scheme := range space.Schemes {
 			if !claim() {
 				continue
@@ -911,14 +886,14 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 		}
 	}
 
+	sw := &sweepState{t: t, memo: newSweepMemo(len(tasks))}
 	// With a remote tier, resolve the whole shard against it up front:
 	// the task layout above IS the deterministic key enumeration, so one
 	// MultiGet replaces the per-key probes every worker would otherwise
 	// issue at its miss — O(cells) round trips become one prefetch here
 	// plus one flush after the pool drains, whatever the grid size.
-	var sr *sweepRemote
 	if t != nil && t.remote != nil {
-		sr = &sweepRemote{t: t, hits: map[uint64]tunerEntry{}}
+		sw.sr = &sweepRemote{t: t, hits: map[uint64]tunerEntry{}}
 		seen := make(map[uint64]struct{}, len(tasks))
 		var gks []tunerKey
 		var hks []uint64
@@ -931,13 +906,13 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 				// Already local: pin it for the sweep so an eviction
 				// between now and the worker's lookup cannot force a
 				// re-simulation.
-				sr.hits[tk.hk] = ent
+				sw.sr.hits[tk.hk] = ent
 				continue
 			}
 			gks = append(gks, tk.gk)
 			hks = append(hks, tk.hk)
 		}
-		sr.prefetch(gks, hks)
+		sw.sr.prefetch(gks, hks)
 	}
 
 	// Measure every candidate concurrently into its deterministic slot:
@@ -951,24 +926,19 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	// winners tend to evaluate first and the cutoff tightens as early as
 	// possible; everything still lands in grid-order measured slots, so
 	// the reduction below is order-independent.
-	var cut *cutoffState
-	feed := make(chan int, len(tasks))
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
 	if space.TopK > 0 {
-		cut = newCutoffState(space.TopK, slots)
-		order := make([]int, len(tasks))
-		for i := range order {
-			order[i] = i
-		}
+		sw.cut = newCutoffState(space.TopK, slots)
 		sort.SliceStable(order, func(a, b int) bool {
 			return tasks[order[a]].ub > tasks[order[b]].ub
 		})
-		for _, i := range order {
-			feed <- i
-		}
-	} else {
-		for i := range tasks {
-			feed <- i
-		}
+	}
+	feed := make(chan int, len(tasks))
+	for _, i := range order {
+		feed <- i
 	}
 	close(feed)
 	measured := make([]Candidate, len(tasks))
@@ -982,28 +952,20 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 				own = newEvaluator()
 			}
 			for i := range feed {
-				tk := &tasks[i]
-				if space.TopK > 0 {
-					measured[i] = evalBounded(tk, cache, own, t, sr, cut)
-					continue
-				}
-				plan := tk.plan
-				es, err := cache.evalFor(schedKey{plan.Scheme, plan.P, plan.B},
-					func() (*evalShared, error) { return evalKey(plan, own, t, tk.gk, tk.hk, sr, 0) })
-				measured[i] = candidateFrom(plan, es, err)
+				measured[i] = sw.cell(&tasks[i], own)
 			}
 		}()
 	}
 	wg.Wait()
-	if sr != nil {
-		sr.flush()
+	if sw.sr != nil {
+		sw.sr.flush()
 	}
 	if stats != nil {
 		stats.Cells = len(tasks)
 		stats.Rows = slots
-		stats.SweepSims = cache.sims.Load()
-		if cut != nil {
-			stats.Pruned = cut.pruned.Load()
+		stats.SweepSims = sw.memo.sims.Load()
+		if sw.cut != nil {
+			stats.Pruned = sw.cut.pruned.Load()
 		}
 	}
 
@@ -1062,53 +1024,6 @@ type sweepTask struct {
 	hk uint64
 }
 
-// evalBounded measures one cell of a branch-and-bound sweep (TopK > 0):
-// a sweep-local complete result is served as-is, a cell whose analytic
-// bound strictly loses to the cutoff is skipped outright, and everything
-// else evaluates under the cutoff-derived virtual-clock cap — feeding
-// every complete row value back into the cutoff. The cutoff is read once
-// per cell; it can only have risen by evaluation time, so a stale read
-// merely over-evaluates.
-func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, t *Tuner, sr *sweepRemote, cut *cutoffState) Candidate {
-	plan := tk.plan
-	k := schedKey{plan.Scheme, plan.P, plan.B}
-	if es, err, ok := cache.peekFull(k); ok {
-		c := candidateFrom(plan, es, err)
-		cut.observe(tk.slot, c.Throughput)
-		return c
-	}
-	co := cut.cutoff()
-	if co > 0 && tk.ub < co {
-		// Provably below at least TopK fully evaluated rows — strictly, so
-		// a tie with the cutoff still evaluates and tie order survives.
-		cut.pruned.Add(1)
-		return boundPrunedCandidate(plan, tk.ub)
-	}
-	var deadline float64
-	if co > 0 {
-		// A run whose per-replica makespan passes this cap scores total
-		// throughput strictly under the cutoff; RunDeadline's abort is
-		// strict too, so a run landing exactly on the cap completes.
-		deadline = float64(plan.D*plan.B*plan.MicroRows) / co
-	}
-	es, err := evalKey(plan, own, t, tk.gk, tk.hk, sr, deadline)
-	if err == nil && es.boundOnly {
-		cut.pruned.Add(1)
-		return boundPrunedCandidate(plan, es.perReplica*float64(plan.D))
-	}
-	cache.publishFull(k, es, err)
-	c := candidateFrom(plan, es, err)
-	cut.observe(tk.slot, c.Throughput)
-	return c
-}
-
-// boundPrunedCandidate is the outcome of a cell eliminated by the bound:
-// no exact measurement, only the proven total-throughput upper bound.
-func boundPrunedCandidate(plan Plan, bound float64) Candidate {
-	plan.cache = nil
-	return Candidate{Plan: plan, BoundPruned: true, Bound: bound}
-}
-
 // AutoTuneShard evaluates one shard's slice of the candidate grid —
 // space must come from SearchSpace.Shard — and returns its candidates in
 // grid order, unsorted: the form MergeShards stitches back together.
@@ -1155,20 +1070,15 @@ func MergeShards(parts ...[]Candidate) []Candidate {
 func SimRuns() int64 { return simRuns.Load() }
 
 // candidateFrom scales one key's shared evaluation to a candidate plan.
-// The sweep cache is dropped from the returned candidate so holding one
-// result does not retain every schedule produced by the sweep.
 func candidateFrom(plan Plan, es *evalShared, err error) Candidate {
-	pub := plan
-	pub.cache = nil
-	c := Candidate{Plan: pub}
+	c := Candidate{Plan: plan}
 	if err != nil {
 		c.Err = err
 		return c
 	}
 	if es.boundOnly {
-		// Defensive: evalBounded intercepts these before they reach a
-		// candidate slot; a boundOnly result must never masquerade as an
-		// exact zero-throughput measurement.
+		// A deadline-aborted run: no exact measurement, only the proven
+		// total-throughput upper bound — never an exact zero.
 		c.BoundPruned = true
 		c.Bound = es.perReplica * float64(plan.D)
 		return c

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/nn"
@@ -284,48 +288,6 @@ func TestSweepRunsOneSimPerKey(t *testing.T) {
 	}
 }
 
-// TestEvaluateCachedMatchesUncached asserts cache correctness: a plan
-// evaluated through the sweep cache reports the identical numbers as the
-// same plan evaluated cold, and a second cached plan differing only in D
-// shares the underlying simulation while scaling throughput by its own D.
-func TestEvaluateCachedMatchesUncached(t *testing.T) {
-	cache := newSweepCache()
-	cached := bertPlan("hanayo-w2", 4, 2)
-	cached.cache = cache
-	cold := bertPlan("hanayo-w2", 4, 2)
-
-	ec, err := cached.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eu, err := cold.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ec.Throughput != eu.Throughput || ec.Fits != eu.Fits {
-		t.Fatalf("cached (%g, %v) != uncached (%g, %v)",
-			ec.Throughput, ec.Fits, eu.Throughput, eu.Fits)
-	}
-	if ec.Memory.MaxGB() != eu.Memory.MaxGB() || ec.Sim.Makespan != eu.Sim.Makespan {
-		t.Fatalf("cached memory/makespan (%g, %g) != uncached (%g, %g)",
-			ec.Memory.MaxGB(), ec.Sim.Makespan, eu.Memory.MaxGB(), eu.Sim.Makespan)
-	}
-
-	// A different D on the same key reuses the simulation and rescales.
-	other := cached
-	other.D = 1
-	eo, err := other.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eo.Sim != ec.Sim {
-		t.Fatal("same-key plans must share the cached simulation result")
-	}
-	if got, want := eo.Throughput*2, ec.Throughput; got != want {
-		t.Fatalf("D=1 throughput %g not half of D=2's %g", eo.Throughput, ec.Throughput)
-	}
-}
-
 // TestEvaluateAnalyticOnly exercises the explicit sim-free path: no
 // simulation result, zero throughput, and a memory estimate identical to
 // the simulated one (the memtrace replay measures the same peaks).
@@ -356,32 +318,116 @@ func TestEvaluateAnalyticOnly(t *testing.T) {
 	}
 }
 
-// TestScheduleCacheSharesPrograms proves the sweep cache builds one
-// schedule per (scheme, P, B) and returns the same instance to every plan
-// that shares the key.
-func TestScheduleCacheSharesPrograms(t *testing.T) {
-	cache := newSweepCache()
-	p1 := bertPlan("hanayo-w2", 4, 2)
-	p1.cache = cache
-	p2 := p1
-	p2.D = 1 // different plan, same (scheme, P, B) program
-	s1, err := p1.Schedule()
-	if err != nil {
-		t.Fatal(err)
+// TestSweepMemo pins the per-sweep memo's landing rules: concurrent
+// uncapped callers measure a key once, a deadline-aborted result never
+// lands, and a capped result that completed serves a later uncapped
+// caller without a second measurement.
+func TestSweepMemo(t *testing.T) {
+	m := newSweepMemo(2)
+	var runs atomic.Int64
+	complete := func(float64) (*evalShared, error) {
+		runs.Add(1)
+		time.Sleep(time.Millisecond)
+		return &evalShared{perReplica: 7, fits: true}, nil
 	}
-	s2, err := p2.Schedule()
-	if err != nil {
-		t.Fatal(err)
+	aborted := func(float64) (*evalShared, error) {
+		runs.Add(1)
+		return &evalShared{boundOnly: true, perReplica: 9}, nil
 	}
-	if s1 != s2 {
-		t.Fatal("cache returned distinct schedules for one (scheme, P, B) key")
+
+	k := schedKey{"dapple", 4, 8}
+	var wg sync.WaitGroup
+	got := make([]*memoResult, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = m.entry(k).resolve(0, complete)
+		}(i)
 	}
-	uncached := bertPlan("hanayo-w2", 4, 2)
-	s3, err := uncached.Schedule()
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("8 concurrent uncapped callers ran %d measurements, want 1", n)
 	}
-	if s3 == s1 {
-		t.Fatal("plans without a sweep cache must build fresh schedules")
+	for _, r := range got {
+		if r != got[0] || r.es.perReplica != 7 {
+			t.Fatalf("callers saw different results: %+v vs %+v", r, got[0])
+		}
+	}
+
+	capped := m.entry(schedKey{"gpipe", 4, 8})
+	runs.Store(0)
+	if r := capped.resolve(1, aborted); !r.es.boundOnly {
+		t.Fatal("a capped caller must see its own aborted result")
+	}
+	if capped.res.Load() != nil {
+		t.Fatal("a deadline-aborted result landed in the memo")
+	}
+	capped.resolve(1, complete)
+	if r := capped.res.Load(); r == nil || r.es.perReplica != 7 {
+		t.Fatal("a completed capped result did not land")
+	}
+	if r := capped.resolve(0, complete); r.es.perReplica != 7 || runs.Load() != 2 {
+		t.Fatalf("uncapped caller after a completed capped one ran %d measurements, want 2 in total", runs.Load())
+	}
+}
+
+// TestSweepMixedValidityPD: the memo key (scheme, P, B) carries no D, so
+// a grid listing one P under a valid and an invalid D must still decide
+// each cell on its own plan — the valid D=4 rows equal a {4,4}-only
+// sweep's, and every D=8 row (32 devices on a 16-device cluster) carries
+// the device-count error — in either PD order, at any worker count, with
+// or without TopK, standalone and through a cold or warm Tuner. Three
+// valid rows with TopK=3 keeps every valid row inside the exact prefix,
+// so the comparison is exact under any worker interleaving.
+func TestSweepMixedValidityPD(t *testing.T) {
+	cl := cluster.TACC(16)
+	model := nn.BERTStyle()
+	base := SearchSpace{Schemes: []string{"dapple", "chimera-wave"}, Waves: []int{1, 2},
+		B: 8, MicroRows: 1}
+	onlyValid := base
+	onlyValid.PD = [][2]int{{4, 4}}
+	want := AutoTune(cl, model, onlyValid)
+
+	rowsAt := func(cands []Candidate, d int) []Candidate {
+		var out []Candidate
+		for _, c := range cands {
+			if c.Plan.D == d {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	for _, pd := range [][][2]int{{{4, 8}, {4, 4}}, {{4, 4}, {4, 8}}} {
+		for _, workers := range []int{1, 4} {
+			for _, topK := range []int{0, 3} {
+				space := base
+				space.PD, space.Workers, space.TopK = pd, workers, topK
+				warm := NewTuner(TunerOptions{Runners: 2})
+				warm.AutoTune(cl, model, onlyValid)
+				for _, run := range []struct {
+					name string
+					tune func() []Candidate
+				}{
+					{"standalone", func() []Candidate { return AutoTune(cl, model, space) }},
+					{"cold tuner", func() []Candidate { return NewTuner(TunerOptions{Runners: 2}).AutoTune(cl, model, space) }},
+					{"warm tuner", func() []Candidate { return warm.AutoTune(cl, model, space) }},
+				} {
+					label := fmt.Sprintf("PD=%v workers=%d topK=%d %s", pd, workers, topK, run.name)
+					got := run.tune()
+					candidatesEqual(t, label, rowsAt(got, 4), want)
+					invalid := rowsAt(got, 8)
+					if len(invalid) != len(want) {
+						t.Fatalf("%s: %d D=8 rows, want %d", label, len(invalid), len(want))
+					}
+					for _, c := range invalid {
+						if c.Err == nil || !strings.Contains(c.Err.Error(), "plan uses 32 devices") {
+							t.Fatalf("%s: D=8 %s row has err %v, thr %g — want the device-count error",
+								label, c.Plan.Scheme, c.Err, c.Throughput)
+						}
+					}
+				}
+			}
+		}
 	}
 }

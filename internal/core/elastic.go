@@ -27,9 +27,10 @@ type ReplanReport struct {
 
 // ElasticOptions configures an ElasticSession.
 type ElasticOptions struct {
-	// Space is the configuration grid replanning searches. Its PD pairs
-	// must stay valid (see the SearchSpace.PD contract) across every
-	// membership state the session will visit.
+	// Space is the configuration grid replanning searches. A PD pair that
+	// outgrows a membership state reports its device-count error and is
+	// passed over; at least one cell must stay feasible in every state
+	// the session will visit.
 	Space SearchSpace
 	// Seed initializes model weights (only for the first engine; replans
 	// restore the trained weights).

@@ -11,8 +11,8 @@ import (
 
 // rerankSpace is the churn-test grid: explicit PD pairs, because the
 // nil-PD default is empty for prime N (e.g. 7 devices after a leave
-// from 8). Same-P rows keep P·D ≤ 6 so they stay equally valid over
-// the whole churn range [6, 10] — see the SearchSpace.PD contract.
+// from 8). A pair that outgrows a membership state reports its own
+// device-count error.
 func rerankSpace(workers, topK int) SearchSpace {
 	return SearchSpace{
 		PD:        [][2]int{{2, 2}, {2, 3}, {4, 1}, {8, 1}},

@@ -60,7 +60,7 @@ type Tuner struct {
 	// flights deduplicates in-flight evaluations across concurrent
 	// sweeps: the first cache miss on a key leads the computation, later
 	// misses wait on its done channel instead of re-simulating — the
-	// cross-sweep counterpart of sweepCache.evalFor's per-sweep sync.Once.
+	// cross-sweep counterpart of the per-sweep memo's per-key sync.Once.
 	mu      sync.Mutex
 	flights map[tunerKey]*flight
 }
@@ -148,21 +148,18 @@ func (t *Tuner) checkin(ev *evaluator) { t.pool <- ev }
 // sweep's remote flush; a deadline-aborted result is returned unpublished.
 // The checkout covers the whole measurement (compile + sim) — schedule
 // compilation is real work the admission control should bound.
-func (t *Tuner) measure(plan Plan, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
+func (sw *sweepState) measure(tk *sweepTask, deadline float64) (*evalShared, error) {
+	t := sw.t
 	ev := t.checkout()
 	defer t.checkin(ev)
-	s, err := plan.scheduleWith(ev.gen)
-	if err != nil {
-		return nil, err
-	}
-	es, err := ev.evalSchedule(s, plan, deadline)
+	es, err := ev.measure(tk.plan, deadline, &sw.memo.sims)
 	if err != nil || es.boundOnly {
 		return es, err
 	}
 	ent := entryFrom(es)
-	t.cache.put(gk, hk, ent)
-	if sr != nil {
-		sr.publish(hk, ent)
+	t.cache.put(tk.gk, tk.hk, ent)
+	if sw.sr != nil {
+		sw.sr.publish(tk.hk, ent)
 	}
 	return es, nil
 }

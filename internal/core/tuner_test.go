@@ -24,8 +24,11 @@ func fig10Space(workers int) SearchSpace {
 // simulation like any other — the sweep issues exactly one simulation per
 // unique key, OOM keys included — and every OOM cell still appears in the
 // ranking with zero throughput and its full-iteration peak, which exceeds
-// the memory budget. The simRuns hook is process-global, so this test
-// must not run in parallel with other simulating tests.
+// the memory budget. Every candidate also reports exactly what a cold
+// Plan.Evaluate of its own plan reports: the per-sweep memo shares one
+// evaluation across cells that differ only in D and scales it per cell.
+// The simRuns hook is process-global, so this test must not run in
+// parallel with other simulating tests.
 func TestSweepSimulatesOOMCells(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
@@ -35,7 +38,9 @@ func TestSweepSimulatesOOMCells(t *testing.T) {
 	// but their keys are still evaluated.
 	space := fig10Space(4)
 	keys, oomKeys := 0, 0
+	evals := map[[2]int]map[string]*Eval{}
 	for _, pd := range space.PD {
+		evals[pd] = map[string]*Eval{}
 		for _, scheme := range []string{"gpipe", "dapple", "chimera-wave",
 			"hanayo-w1", "hanayo-w2", "hanayo-w4"} {
 			plan := Plan{Scheme: scheme, Cluster: cl, Model: model,
@@ -44,6 +49,7 @@ func TestSweepSimulatesOOMCells(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", scheme, pd[0], err)
 			}
+			evals[pd][scheme] = e
 			keys++
 			if !e.Fits {
 				oomKeys++
@@ -63,6 +69,16 @@ func TestSweepSimulatesOOMCells(t *testing.T) {
 
 	oomSeen := 0
 	for _, c := range cands {
+		e := evals[[2]int{c.Plan.P, c.Plan.D}][c.Plan.Scheme]
+		wantThr := e.Throughput // Evaluate's D × per-replica throughput
+		if !e.Fits {
+			wantThr = 0
+		}
+		if c.Throughput != wantThr || c.PeakGB != e.Memory.MaxGB() || c.OOM != !e.Fits {
+			t.Errorf("%s P=%d D=%d: sweep (%g, %g, oom=%v), Evaluate (%g, %g, fits=%v)",
+				c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Throughput, c.PeakGB, c.OOM,
+				e.Throughput, e.Memory.MaxGB(), e.Fits)
+		}
 		if !c.OOM {
 			continue
 		}

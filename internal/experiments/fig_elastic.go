@@ -28,9 +28,7 @@ func xtr03(w io.Writer) error {
 	model := nn.BERTStyle()
 	cl := cluster.TACC(8)
 	// Explicit PD pairs: the nil-PD default is empty for prime N, and the
-	// churn below visits 7 and 9 devices. Same-P rows keep P·D ≤ 6 so
-	// every cell stays valid over the whole stream (SearchSpace.PD
-	// contract).
+	// churn below visits 7 and 9 devices.
 	space := core.SearchSpace{
 		PD:        [][2]int{{2, 2}, {2, 3}, {4, 1}, {8, 1}},
 		Waves:     []int{1, 2, 4},
